@@ -3,6 +3,7 @@ and the CI report artifact."""
 
 import json
 
+from repro.bench import golden
 from repro.bench.crashsim import (
     crashsim_smoke,
     harvest_crash_points,
@@ -47,6 +48,7 @@ def test_smoke_passes_and_writes_report(tmp_path):
     )
     assert code == 0, report
     assert "SMOKE PASS" in report
+    assert golden.text_digest(report) == golden.read_golden("crashsim-smoke")
     payload = json.loads(report_path.read_text())
     assert payload["result"] == "PASS"
     assert payload["determinism"] == "PASS"

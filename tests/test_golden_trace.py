@@ -4,9 +4,12 @@ The hot-path optimizations (placement cache, batched uring submit/reap,
 vectorized EC, event pooling) are only admissible if they change *no
 simulated event*.  These tests lock that down two ways:
 
-* recorded goldens — digests of the fig6 experiment table and a chaos
-  crash-replica run, captured on the unoptimized build and committed
-  under ``tests/golden/``; any divergence fails here; and
+* recorded goldens — digests of the fig6 experiment table, a chaos
+  crash-replica run, the QoS battery, and the cache, power-loss,
+  crashsim, health, recovery, and profiling smoke reports, committed
+  under ``tests/golden/``; any divergence fails here (the crashsim and
+  health digests are checked where their tests already run the smoke);
+  and
 * same-process double runs — the same scenario executed twice in one
   interpreter must produce identical digests (catches leaked state in
   caches, pools, and module-level counters).
@@ -15,6 +18,8 @@ If a digest changes *intentionally* (a modeling change, not an
 optimization), re-record with ``python -m repro golden --update`` and
 say so in the commit message.
 """
+
+import pytest
 
 from repro.bench import golden
 from repro.bench.chaos import SCENARIOS, run_chaos_scenario
@@ -33,6 +38,14 @@ def test_chaos_smoke_digest_matches_golden():
 
 def test_fig6_digest_matches_golden():
     assert golden.fig6_digest() == golden.read_golden("fig6")
+
+
+@pytest.mark.parametrize(
+    "name", ["cache-smoke", "power-loss-smoke", "recover-smoke", "profile-smoke"]
+)
+def test_smoke_digest_matches_golden(name):
+    _fname, digest_fn = golden.CANONICAL_RUNS[name]
+    assert digest_fn() == golden.read_golden(name)
 
 
 def test_chaos_double_run_same_process_is_deterministic():
@@ -70,8 +83,11 @@ def _qos_battery_digest(qos: bool) -> str:
 
 def test_qos_bench_double_run_is_deterministic():
     """Two same-seed QoS battery runs in one interpreter must agree:
-    tag clocks, wake timers, and tracker state live per-run."""
-    assert _qos_battery_digest(qos=True) == _qos_battery_digest(qos=True)
+    tag clocks, wake timers, and tracker state live per-run — and match
+    the recorded golden."""
+    first = _qos_battery_digest(qos=True)
+    assert first == _qos_battery_digest(qos=True)
+    assert first == golden.read_golden("qos-battery")
 
 
 def test_qos_digest_captures_scheduling():

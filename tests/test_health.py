@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.bench import golden
 from repro.bench.healthbench import health_smoke, run_health
 from repro.cli import main
 from repro.obs.critical_path import analyze
@@ -388,6 +389,7 @@ def test_health_smoke_passes():
     assert code == 0, text
     assert "HEALTH SMOKE PASS" in text
     assert chaos.health.slow_ops
+    assert golden.text_digest(text) == golden.read_golden("health-smoke")
 
 
 def test_cli_health_report(tmp_path, capsys):

@@ -6,7 +6,8 @@ by an in-process calibration loop (so the check is stable across
 machines of different speed), and compared against the baseline recorded
 in ``BENCH_3.json`` at the repository root.  CI fails the build when the
 normalized wall-clock regresses by more than ``--tolerance`` (default
-20%).
+20%).  Only ``--record-as`` writes ``BENCH_3.json``; a check leaves it
+untouched.
 
 Usage::
 
@@ -155,18 +156,17 @@ def main(argv=None) -> int:
     if baseline is None:
         print("no baseline recorded in BENCH_3.json; run with --record-as baseline first")
         return 2
-    doc["current"] = result
-    if "pre_pr" in doc:
-        doc["speedup_vs_pre_pr"] = round(doc["pre_pr"]["normalized"] / result["normalized"], 3)
-    _save(doc)
+    # Check mode only reads BENCH_3.json: a tracked file must not change
+    # on every run.
     limit = baseline["normalized"] * (1.0 + args.tolerance)
     verdict = "PASS" if result["normalized"] <= limit else "FAIL"
     print(
         f"regression check: current {result['normalized']} vs baseline "
         f"{baseline['normalized']} (limit {limit:.4f}): {verdict}"
     )
-    if "speedup_vs_pre_pr" in doc:
-        print(f"speedup vs pre-PR build: {doc['speedup_vs_pre_pr']}x")
+    if "pre_pr" in doc:
+        speedup = round(doc["pre_pr"]["normalized"] / result["normalized"], 3)
+        print(f"speedup vs pre-PR build: {speedup}x")
     return 0 if verdict == "PASS" else 1
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Generator
 
 from ..errors import FpgaError
-from ..sim import Environment, Resource
+from ..sim import Environment, FifoServer
 from ..units import cycles_to_ns, us
 from .device import ACCEL_CLOCK_HZ
 from .resources import ResourceVector
@@ -127,22 +127,21 @@ class Accelerator:
 
     Each instance is a pipelined unit: concurrent requests overlap (one
     result per cycle after fill), modeled with a single-slot issue
-    resource held only for the issue interval.
+    server held only for the issue interval.
     """
 
     def __init__(self, env: Environment, spec: AcceleratorSpec):
         self.env = env
         self.spec = spec
-        self._issue = Resource(env, capacity=1, name=f"accel:{spec.name}")
+        self._issue = FifoServer(env, capacity=1, name=f"accel:{spec.name}")
         self.invocations = 0
         self.items_processed = 0
 
     def process(self, items: int = 1) -> Generator:
         """Process: run ``items`` inputs through the pipeline."""
-        issue_cycles = items  # II = 1
-        issue_ns = cycles_to_ns(issue_cycles, self.spec.clock_hz)
-        yield from self._issue.using(issue_ns)
-        # Pipeline drain for the last item.
-        yield self.env.timeout(cycles_to_ns(self.spec.cycles[1], self.spec.clock_hz))
+        issue_ns = cycles_to_ns(items, self.spec.clock_hz)  # II = 1
+        # Issue holds the pipeline entry; the last item's drain does not.
+        drain_ns = cycles_to_ns(self.spec.cycles[1], self.spec.clock_hz)
+        yield self._issue.hold(issue_ns, drain_ns)
         self.invocations += 1
         self.items_processed += items

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Generator
 
 from ..errors import FpgaError
-from ..sim import Environment, Resource
+from ..sim import Environment, FifoServer
 from ..units import gbps, transfer_ns
 from .device import CMAC_CLOCK_HZ
 
@@ -24,8 +24,8 @@ class Cmac:
         self.env = env
         self.line_rate = line_rate_bps  # bytes/sec
         self.clock_hz = clock_hz
-        self._tx = Resource(env, capacity=1, name="cmac.tx")
-        self._rx = Resource(env, capacity=1, name="cmac.rx")
+        self._tx = FifoServer(env, capacity=1, name="cmac.tx")
+        self._rx = FifoServer(env, capacity=1, name="cmac.rx")
         self.frames_tx = 0
         self.frames_rx = 0
         self.bytes_tx = 0
@@ -38,7 +38,7 @@ class Cmac:
         """Process: clock one frame out of the MAC."""
         if nbytes <= 0:
             raise FpgaError(f"frame size must be > 0, got {nbytes}")
-        yield from self._tx.using(self._mac_cycles_ns() + transfer_ns(nbytes, self.line_rate))
+        yield self._tx.hold(self._mac_cycles_ns() + transfer_ns(nbytes, self.line_rate))
         self.frames_tx += 1
         self.bytes_tx += nbytes
 
@@ -46,6 +46,6 @@ class Cmac:
         """Process: clock one frame into the MAC."""
         if nbytes <= 0:
             raise FpgaError(f"frame size must be > 0, got {nbytes}")
-        yield from self._rx.using(self._mac_cycles_ns() + transfer_ns(nbytes, self.line_rate))
+        yield self._rx.hold(self._mac_cycles_ns() + transfer_ns(nbytes, self.line_rate))
         self.frames_rx += 1
         self.bytes_rx += nbytes

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Generator
 
 from ..errors import FpgaError
-from ..sim import Environment, Resource
+from ..sim import Environment, FifoServer, Timeout
 from ..units import transfer_ns
 
 #: Usable payload bandwidth per direction (bytes/sec).
@@ -30,27 +30,26 @@ class PcieLink:
         self.env = env
         self.bandwidth = bandwidth
         self.tlp_ns = tlp_ns
-        self._h2c = Resource(env, capacity=1, name="pcie.h2c")
-        self._c2h = Resource(env, capacity=1, name="pcie.c2h")
+        self._h2c = FifoServer(env, capacity=1, name="pcie.h2c")
+        self._c2h = FifoServer(env, capacity=1, name="pcie.c2h")
         self.bytes_h2c = 0
         self.bytes_c2h = 0
 
     def h2c(self, nbytes: int) -> Generator:
         """Process: move ``nbytes`` host -> card."""
-        yield from self._transfer(self._h2c, nbytes)
+        yield self._transfer(self._h2c, nbytes)
         self.bytes_h2c += nbytes
 
     def c2h(self, nbytes: int) -> Generator:
         """Process: move ``nbytes`` card -> host."""
-        yield from self._transfer(self._c2h, nbytes)
+        yield self._transfer(self._c2h, nbytes)
         self.bytes_c2h += nbytes
 
-    def _transfer(self, channel: Resource, nbytes: int) -> Generator:
+    def _transfer(self, channel: FifoServer, nbytes: int) -> Timeout:
+        """Serialize on one direction, then the TLP's one-way latency."""
         if nbytes < 0:
             raise FpgaError(f"negative transfer size {nbytes}")
-        ser = transfer_ns(nbytes, self.bandwidth)
-        yield from channel.using(ser)
-        yield self.env.timeout(self.tlp_ns)
+        return channel.hold(transfer_ns(nbytes, self.bandwidth), self.tlp_ns)
 
     def doorbell(self) -> Generator:
         """Process: ring a queue doorbell (host-side posted write)."""

@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Generator
 
 from ..errors import FpgaError
-from ..sim import NULL_METRICS, Environment, Resource
+from ..sim import NULL_METRICS, Environment, FifoServer, Resource
 from ..units import transfer_ns
 from .descriptors import DESCRIPTOR_BYTES, Descriptor, DescriptorKind, DescriptorRing
 from .device import QDMA_CLOCK_HZ
@@ -84,7 +84,7 @@ class QdmaEngine:
         self._next_qid = 0
         self._h2c_engine = Resource(env, capacity=H2C_CONCURRENCY, name="qdma.h2c")
         self._c2h_engine = Resource(env, capacity=H2C_CONCURRENCY, name="qdma.c2h")
-        self._desc_engine = Resource(env, capacity=4, name="qdma.de")
+        self._desc_engine = FifoServer(env, capacity=4, name="qdma.de")
         self.completions_posted = 0
         metrics = metrics or NULL_METRICS
         self._m_h2c_bytes = metrics.counter("fpga.qdma.h2c_bytes")
@@ -146,7 +146,7 @@ class QdmaEngine:
         qs.h2c_ring.post(desc)
         yield from self.pcie.doorbell()
         # DE fetches the descriptor from host memory.
-        yield from self._desc_engine.using(self._engine_cycles_ns(DESC_PROC_CYCLES))
+        yield self._desc_engine.hold(self._engine_cycles_ns(DESC_PROC_CYCLES))
         yield from self.pcie.h2c(DESCRIPTOR_BYTES)
         qs.h2c_ring.fetch(1)
         # H2C engine DMAs the payload and streams it out.
@@ -168,7 +168,7 @@ class QdmaEngine:
             raise FpgaError(f"transfer size must be > 0, got {nbytes}")
         desc = Descriptor(DescriptorKind.C2H, src_addr=0, dst_addr=0, length=nbytes)
         qs.c2h_ring.post(desc)
-        yield from self._desc_engine.using(self._engine_cycles_ns(DESC_PROC_CYCLES))
+        yield self._desc_engine.hold(self._engine_cycles_ns(DESC_PROC_CYCLES))
         req = self._c2h_engine.request()
         yield req
         try:

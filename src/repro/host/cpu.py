@@ -1,6 +1,6 @@
 """CPU cores with affinity — the substrate of DeLiBA-K's multi-instance design.
 
-Each :class:`CpuCore` is a single-slot resource; compute time is spent by
+Each :class:`CpuCore` is a single FIFO server; compute time is spent by
 holding the core.  :class:`CpuSet` models the client node's socket and
 implements ``sched_setaffinity``-style pinning: DeLiBA-K binds each
 io_uring instance's submission thread to a dedicated core (paper
@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..errors import SimulationError
-from ..sim import Environment, Resource
+from ..sim import Environment, FifoServer
 
 
 class CpuCore:
@@ -22,32 +22,22 @@ class CpuCore:
     def __init__(self, env: Environment, core_id: int):
         self.env = env
         self.core_id = core_id
-        self._res = Resource(env, capacity=1, name=f"cpu{core_id}")
+        self._server = FifoServer(env, capacity=1, name=f"cpu{core_id}")
         self.busy_ns = 0
 
-    def run(self, duration: int, priority: int = 0) -> Generator:
+    def run(self, duration: int) -> Generator:
         """Process: execute for ``duration`` ns on this core (queued FIFO)."""
         if duration < 0:
             raise SimulationError(f"negative cpu time {duration}")
         if duration == 0:
             return
-        req = self._res.request(priority)
-        yield req
-        try:
-            yield self.env.timeout(duration)
-            self.busy_ns += duration
-        finally:
-            self._res.release(req)
+        yield self._server.hold(duration)
+        self.busy_ns += duration
 
     @property
     def load(self) -> float:
         """Fraction of elapsed simulation time this core was busy."""
         return self.busy_ns / self.env.now if self.env.now else 0.0
-
-    @property
-    def contended(self) -> bool:
-        """True when runnable work is queued behind the current occupant."""
-        return self._res.queue_len > 0
 
     def __repr__(self) -> str:
         return f"<CpuCore {self.core_id} busy={self.busy_ns}ns>"

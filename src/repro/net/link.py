@@ -8,10 +8,8 @@ Ethernet framing overhead is charged per MTU-sized frame.
 
 from __future__ import annotations
 
-from typing import Generator
-
 from ..errors import NetworkError
-from ..sim import Environment, Resource
+from ..sim import Environment, FifoServer, Timeout
 from ..units import transfer_ns
 from .message import Message
 
@@ -45,7 +43,9 @@ class Link:
         self.propagation_ns = propagation_ns
         self.mtu = mtu
         self.name = name
-        self._channel = Resource(env, capacity=1, name=f"link:{name}")
+        self._channel = FifoServer(env, capacity=1, name=f"link:{name}")
+        #: Wire bytes / frames booked onto the link (a booked frame is
+        #: never recalled, so it counts as sent from the moment it queues).
         self.bytes_sent = 0
         self.frames_sent = 0
         #: Administrative state: messages offered to a down link are lost
@@ -75,19 +75,16 @@ class Link:
         """Time to clock the message onto the wire."""
         return transfer_ns(self.wire_bytes(payload_bytes), self.bandwidth_bps)
 
-    def transmit(self, message: Message) -> Generator:
-        """Process: occupy the link for serialization, then propagate.
+    def transmit(self, message: Message, then: int = 0) -> Timeout:
+        """Event: serialize ``message`` onto the link, then propagate.
 
-        Yields until the message has fully arrived at the far end.
-        Back-to-back messages queue FIFO on the link resource.
+        Fires once the message has fully arrived at the far end, plus
+        ``then`` ns (the next hop's fixed latency, e.g. the switch).
+        Back-to-back messages queue FIFO on the link.
         """
-        ser = self.serialization_ns(message.size)
-        yield from self._channel.using(ser)
-        self.bytes_sent += self.wire_bytes(message.size)
-        self.frames_sent += max(1, (message.size + self.mtu - 1) // self.mtu)
-        yield self.env.timeout(self.propagation_ns)
-
-    @property
-    def queue_len(self) -> int:
-        """Messages waiting to serialize."""
-        return self._channel.queue_len
+        size = message.size
+        frames = max(1, (size + self.mtu - 1) // self.mtu)
+        wire = size + frames * ETHERNET_FRAME_OVERHEAD
+        self.bytes_sent += wire
+        self.frames_sent += frames
+        return self._channel.hold(transfer_ns(wire, self.bandwidth_bps), self.propagation_ns + then)

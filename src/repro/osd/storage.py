@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Generator
 
 from ..errors import StorageError
-from ..sim import Environment, Resource, RngStream
+from ..sim import Environment, FifoServer, Resource, RngStream
 from ..units import mib, transfer_ns, us
 
 
@@ -112,7 +112,7 @@ class StorageDevice:
         self.profile = profile
         self.rng = rng
         self.name = name
-        self._channels = Resource(env, capacity=profile.channels, name=f"dev:{name}")
+        self._channels = FifoServer(env, capacity=profile.channels, name=f"dev:{name}")
         # object -> (offset after last read, bytes served from the current
         # readahead window).
         self._read_cursor: dict[str, tuple[int, int]] = {}
@@ -157,7 +157,7 @@ class StorageDevice:
             latency = self.profile.rand_read_ns
             consumed = 0
         service = self._jitter(latency) + transfer_ns(length, self.profile.read_bw)
-        yield from self._channels.using(service)
+        yield self._channels.hold(service)
         self._read_cursor[obj] = (offset + length, consumed)
         self.reads += 1
         self.bytes_read += length
@@ -168,7 +168,7 @@ class StorageDevice:
             raise StorageError(f"write length must be > 0, got {length}")
         latency = self.profile.seq_write_ns if sequential else self.profile.rand_write_ns
         service = self._jitter(latency) + transfer_ns(length, self.profile.write_bw)
-        yield from self._channels.using(service)
+        yield self._channels.hold(service)
         self.writes += 1
         self.bytes_written += length
 
@@ -191,7 +191,7 @@ class StorageDevice:
         try:
             yield req
             batch = len(self._volatile)
-            yield from self._channels.using(self._jitter(self.profile.flush_ns))
+            yield self._channels.hold(self._jitter(self.profile.flush_ns))
             for entry in self._volatile[:batch]:
                 entry.persist()
             del self._volatile[:batch]
@@ -211,8 +211,3 @@ class StorageDevice:
     def volatile_depth(self) -> int:
         """Entries sitting in the volatile write-back cache."""
         return len(self._volatile)
-
-    @property
-    def queue_depth(self) -> int:
-        """Outstanding I/Os (in service + waiting)."""
-        return self._channels.count + self._channels.queue_len

@@ -2,6 +2,7 @@
 
 Public surface: :class:`Environment` (clock + event queue), generator
 processes, :class:`Resource`/:class:`Semaphore` for counted servers,
+:class:`FifoServer` for fixed-duration FIFO servers,
 :class:`Store`/:class:`FilterStore` mailboxes, deterministic RNG streams,
 measurement monitors, and the hierarchical :class:`MetricsRegistry`.
 """
@@ -16,7 +17,7 @@ from .monitor import (
     ThroughputMeter,
     TimeSeries,
 )
-from .resources import Request, Resource, Semaphore
+from .resources import FifoServer, Request, Resource, Semaphore
 from .rng import RngRegistry, RngStream
 from .store import FilterStore, Store
 
@@ -26,6 +27,7 @@ __all__ = [
     "Distribution",
     "Environment",
     "Event",
+    "FifoServer",
     "FilterStore",
     "Gauge",
     "LatencyRecorder",

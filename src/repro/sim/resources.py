@@ -1,25 +1,28 @@
 """Shared-resource primitives for the DES kernel.
 
 :class:`Resource` models a server with fixed capacity and a FIFO (or
-priority) wait queue — used for CPU cores, device channels, PCIe credits,
-and the like.  Requests are events; a process does::
+priority) wait queue, for slots held across other waits (worker
+threads, DMA engines, locks).  Requests are events; a process does::
 
     req = resource.request()
     yield req
     ...   # holding one slot
     resource.release(req)
 
-or, with automatic release, ``yield from resource.using(duration)``.
+:class:`FifoServer` is the analytic form for servers that are only ever
+held for a duration known up front (links, PCIe lanes, media channels,
+CPU cores): ``yield server.hold(duration)`` books the earliest-free slot
+and waits one :class:`Timeout`, where the ``Resource`` path spends a
+grant, a timeout, and a release.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Generator
 
 from ..errors import SimulationError
-from .core import Environment, Event
+from .core import Environment, Event, Timeout
 
 
 class Request(Event):
@@ -104,20 +107,57 @@ class Resource:
             self._users.add(req)
             req.succeed(req)
 
-    def using(self, duration: int, priority: int = 0) -> Generator[Event, Any, None]:
-        """Hold one slot for ``duration`` ns (acquire, wait, release)."""
-        req = self.request(priority)
-        yield req
-        try:
-            yield self.env.timeout(duration)
-        finally:
-            self.release(req)
-
     def __repr__(self) -> str:
         return (
             f"<Resource {self.name!r} {len(self._users)}/{self.capacity} busy,"
             f" {len(self._waiting)} waiting>"
         )
+
+
+class FifoServer:
+    """``capacity`` identical FIFO servers with known service times.
+
+    Keeps a heap of the virtual times at which each server next falls
+    idle.  :meth:`hold` books the earliest-free server from
+    ``max(now, free_at)`` and returns a single :class:`Timeout` that
+    fires when service ends plus an unheld tail.  Completion times equal
+    those of ``request -> timeout(duration) -> release`` on a FIFO
+    :class:`Resource` of the same capacity; only the event count falls.
+
+    A booking is final: if the waiting process is interrupted, the
+    server stays busy for the booked time (a frame handed to the wire is
+    not recalled), where a ``Resource`` slot would be freed at once.
+    """
+
+    __slots__ = ("env", "capacity", "name", "_free_at")
+
+    def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
+        if capacity < 1:
+            raise SimulationError(f"FifoServer capacity must be >= 1, got {capacity}")
+        self.env = env
+        self.capacity = capacity
+        self.name = name
+        self._free_at = [0] * capacity
+
+    def hold(self, duration: int, then: int = 0) -> Timeout:
+        """Book ``duration`` ns of service; fires ``then`` ns after it ends.
+
+        ``then`` is an unheld tail: propagation, TLP latency, pipeline
+        drain.  Returns the :class:`Timeout` for the caller to yield.
+        """
+        if duration < 0 or then < 0:
+            raise SimulationError(f"negative hold: duration={duration} then={then}")
+        env = self.env
+        now = env._now
+        free_at = self._free_at
+        start = free_at[0]
+        if start < now:
+            start = now
+        heapq.heapreplace(free_at, start + duration)
+        return Timeout(env, start - now + duration + then)
+
+    def __repr__(self) -> str:
+        return f"<FifoServer {self.name!r} x{self.capacity}>"
 
 
 class Semaphore:

@@ -1,9 +1,11 @@
-"""Unit tests for Resource and Semaphore."""
+"""Unit tests for Resource, FifoServer, and Semaphore."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import SimulationError
-from repro.sim import Environment, Resource, Semaphore
+from repro.errors import ProcessKilled, SimulationError
+from repro.sim import Environment, FifoServer, Resource, Semaphore
 
 
 def test_resource_capacity_validation():
@@ -31,13 +33,13 @@ def test_resource_serializes_access():
     assert spans == [(0, 0, 10), (1, 10, 20), (2, 20, 30)]
 
 
-def test_resource_parallel_capacity_two():
+def test_fifo_server_parallel_capacity_two():
     env = Environment()
-    res = Resource(env, capacity=2)
+    server = FifoServer(env, capacity=2)
     finish = []
 
     def worker(env, wid):
-        yield from res.using(10)
+        yield server.hold(10)
         finish.append((wid, env.now))
 
     for wid in range(4):
@@ -59,7 +61,10 @@ def test_resource_priority_order():
 
     def worker(env, wid, prio, delay):
         yield env.timeout(delay)
-        yield from res.using(1, priority=prio)
+        req = res.request(priority=prio)
+        yield req
+        yield env.timeout(1)
+        res.release(req)
         order.append(wid)
 
     env.process(holder(env))
@@ -93,16 +98,111 @@ def test_resource_cancel_waiting_request():
         res.cancel(first)  # already granted
 
 
-def test_resource_using_releases_on_completion():
+def test_fifo_server_idle_after_hold():
     env = Environment()
-    res = Resource(env, capacity=1)
+    server = FifoServer(env, capacity=1)
+    done = []
 
-    def worker(env):
-        yield from res.using(5)
+    def worker(env, delay):
+        yield env.timeout(delay)
+        yield server.hold(5, then=3)
+        done.append(env.now)
 
-    env.process(worker(env))
+    env.process(worker(env, 0))
+    env.process(worker(env, 20))  # the server fell idle at 5
     env.run()
-    assert res.count == 0
+    assert done == [8, 28]
+
+
+def test_fifo_server_validation():
+    env = Environment()
+    with pytest.raises(SimulationError):
+        FifoServer(env, capacity=0)
+    server = FifoServer(env)
+    with pytest.raises(SimulationError):
+        server.hold(-1)
+    with pytest.raises(SimulationError):
+        server.hold(1, then=-1)
+
+
+def _finish_times(jobs, make_book):
+    """Run ``(arrival, duration, then)`` jobs; map job index -> completion."""
+    env = Environment()
+    book = make_book(env)
+    done = {}
+
+    def job(env, i, arrival, duration, then):
+        yield env.timeout(arrival)
+        yield from book(duration, then)
+        done[i] = env.now
+
+    for i, spec in enumerate(jobs):
+        env.process(job(env, i, *spec))
+    env.run()
+    return done
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.integers(1, 4),
+    jobs=st.lists(
+        st.tuples(st.integers(0, 200), st.integers(0, 60), st.integers(0, 20)),
+        min_size=1,
+        max_size=30,
+    ),
+)
+def test_fifo_server_matches_resource_reference(capacity, jobs):
+    """Differential check: one analytic hold completes exactly when the
+    request -> timeout -> release path on a FIFO Resource does."""
+
+    def resource_book(env):
+        res = Resource(env, capacity=capacity)
+
+        def book(duration, then):
+            req = res.request()
+            yield req
+            yield env.timeout(duration)
+            res.release(req)
+            yield env.timeout(then)
+
+        return book
+
+    def fifo_book(env):
+        server = FifoServer(env, capacity=capacity)
+
+        def book(duration, then):
+            yield server.hold(duration, then)
+
+        return book
+
+    assert _finish_times(jobs, fifo_book) == _finish_times(jobs, resource_book)
+
+
+def test_fifo_server_booking_survives_interrupt():
+    """A booked hold stays booked when its process is interrupted: the
+    next job starts when the victim's service would have ended (a
+    Resource slot would instead be freed at the interrupt)."""
+    env = Environment()
+    server = FifoServer(env, capacity=1)
+    log = []
+
+    def job(env, tag, duration):
+        try:
+            yield server.hold(duration)
+            log.append((tag, env.now))
+        except ProcessKilled:
+            log.append((tag + "-killed", env.now))
+
+    victim = env.process(job(env, "victim", 100))
+    env.process(job(env, "next", 10))
+
+    def killer(env):
+        yield env.timeout(50)
+        victim.interrupt()
+
+    env.process(killer(env))
+    env.run()
+    assert log == [("victim-killed", 50), ("next", 110)]
 
 
 def test_semaphore_tokens_flow():
@@ -153,13 +253,21 @@ def test_interrupted_waiter_does_not_leak_slot():
     res = Resource(env, capacity=1)
     order = []
 
+    def hold(env, duration):
+        req = res.request()
+        yield req
+        try:
+            yield env.timeout(duration)
+        finally:
+            res.release(req)
+
     def holder(env):
-        yield from res.using(100)
+        yield from hold(env, 100)
         order.append(("holder-done", env.now))
 
     def waiter(env, tag):
         try:
-            yield from res.using(10)
+            yield from hold(env, 10)
             order.append((tag, env.now))
         except Exception:
             order.append((tag + "-killed", env.now))

@@ -214,6 +214,9 @@ def test_object_store_checksum_validation():
         store.verify("missing")
     with pytest.raises(StorageError):
         store.corrupt("missing", 0, b"x")
+    store.write("a", 0, b"x")
+    with pytest.raises(StorageError):
+        store.corrupt("a", -1, b"x")
 
 
 def test_object_store_delete_clears_checksum():

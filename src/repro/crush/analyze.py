@@ -58,11 +58,10 @@ def analyze_distribution(
     """Sample placements and compare against weight-proportional shares."""
     if samples < 1:
         raise CrushError(f"samples must be >= 1, got {samples}")
-    mapper = Mapper(cmap)
     counts: Counter = Counter()
     placed = 0
-    for x in range(samples):
-        for osd in mapper.do_rule(rule, x, replicas):
+    for acting in Mapper(cmap).do_rule_many(rule, range(samples), replicas):
+        for osd in acting:
             if osd != CRUSH_ITEM_NONE:
                 counts[osd] += 1
                 placed += 1
@@ -103,9 +102,9 @@ def analyze_movement(
     which this report quantifies.
     """
     mapper = Mapper(cmap)
-    before = [mapper.do_rule(rule, x, replicas) for x in range(samples)]
+    before = mapper.do_rule_many(rule, range(samples), replicas)
     mutate(cmap)
-    after = [mapper.do_rule(rule, x, replicas) for x in range(samples)]
+    after = mapper.do_rule_many(rule, range(samples), replicas)
     moved = 0
     total = 0
     for b, a in zip(before, after):

@@ -16,15 +16,21 @@ replica rank ``r``.  The algorithms are ports of Ceph's ``crush/mapper.c``
 These are exactly the kernels DeLiBA-K offloads to RTL accelerators
 (paper Table I), so each ``choose`` also reports an abstract *work*
 metric (`ops`) used by the software-profiling cost model.
+
+``choose_many(xs, rs)`` is ``choose`` over many inputs at once, for the
+batched rule walk; straw2 runs it as one numpy race over every
+(input, item) pair, the other algorithms loop over ``choose``.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from ..errors import CrushError
-from .hashing import hash32_3, hash32_4
-from .ln_table import ln_of_uniform_u16
+from .hashing import hash32_3, hash32_3_many, hash32_4
+from .ln_table import LN_ONE, crush_ln_many, ln_of_uniform_u16
 from .types import BucketAlg, WEIGHT_ONE
 
 
@@ -62,6 +68,10 @@ class Bucket:
     def choose(self, x: int, r: int) -> int:
         """Select the item for input ``x`` and replica rank ``r``."""
         raise NotImplementedError
+
+    def choose_many(self, xs: Sequence[int], rs: Sequence[int]) -> list[int]:
+        """``[choose(x, r) for x, r in zip(xs, rs)]``."""
+        return [self.choose(x, r) for x, r in zip(xs, rs)]
 
     def item_weight(self, item: int) -> int:
         """Fixed-point weight of ``item`` within this bucket."""
@@ -365,6 +375,25 @@ class Straw2Bucket(Bucket):
                 high_draw = draw
         self.last_ops = len(self.items)
         return self.items[high]
+
+    def choose_many(self, xs: Sequence[int], rs: Sequence[int]) -> list[int]:
+        """:meth:`choose` for every (x, r) pair in one race over a 2-D array."""
+        if not self.items:
+            raise CrushError(f"choose() on empty bucket {self.id}")
+        # A zero-weight item draws S64_MIN, which beats nothing else.
+        live = [i for i, w in enumerate(self.weights) if w]
+        if not live:
+            return [self.items[0]] * len(xs)
+        xs = np.array([x & 0xFFFFFFFF for x in xs], dtype=np.uint32)[:, None]
+        rs = np.array([r & 0xFFFFFFFF for r in rs], dtype=np.uint32)[:, None]
+        items = np.array([self.items[i] & 0xFFFFFFFF for i in live], dtype=np.uint32)
+        weights = np.array([self.weights[i] for i in live], dtype=np.int64)
+        ln = crush_ln_many(hash32_3_many(xs, items, rs)) - LN_ONE
+        # ln <= 0 < w, so negating around floor division truncates toward
+        # zero like C's div64_s64.
+        draws = -((-ln) // weights)
+        # argmax keeps the first maximum, as choose() keeps the first high draw.
+        return [self.items[live[i]] for i in np.argmax(draws, axis=1).tolist()]
 
 
 def make_bucket(

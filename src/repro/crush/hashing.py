@@ -4,9 +4,14 @@ Faithful port of ``crush/hash.c`` from Ceph (Robert Jenkins' 1996 mix
 function).  All arithmetic is modulo 2**32; Python ints are masked after
 every step.  These hashes drive every pseudo-random decision CRUSH makes,
 so determinism and exact 32-bit wraparound semantics matter.
+
+:func:`hash32_3_many` is :func:`hash32_3` over numpy ``uint32`` arrays,
+where the wraparound is native; the straw2 batch kernel uses it.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _MASK = 0xFFFFFFFF
 
@@ -46,6 +51,38 @@ def _mix(a: int, b: int, c: int) -> tuple[int, int, int]:
     return a, b, c
 
 
+def _mix_u32(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`_mix` in place over three distinct ``uint32`` arrays."""
+    a -= b
+    a -= c
+    a ^= c >> 13
+    b -= c
+    b -= a
+    b ^= a << 8
+    c -= a
+    c -= b
+    c ^= b >> 13
+    a -= b
+    a -= c
+    a ^= c >> 12
+    b -= c
+    b -= a
+    b ^= a << 16
+    c -= a
+    c -= b
+    c ^= b >> 5
+    a -= b
+    a -= c
+    a ^= c >> 3
+    b -= c
+    b -= a
+    b ^= a << 10
+    c -= a
+    c -= b
+    c ^= b >> 15
+    return a, b, c
+
+
 def hash32(a: int) -> int:
     """rjenkins1 hash of one 32-bit value."""
     a &= _MASK
@@ -81,6 +118,25 @@ def hash32_3(a: int, b: int, c: int) -> int:
     y, a, h = _mix(y, a, h)
     b, x, h = _mix(b, x, h)
     y, c, h = _mix(y, c, h)
+    return h
+
+
+def hash32_3_many(a, b, c) -> np.ndarray:
+    """:func:`hash32_3` elementwise over broadcast ``uint32`` arrays.
+
+    Callers pass values already reduced to 32 bits (``uint32`` arrays or
+    sequences of ints in ``[0, 2**32)``); the result has the broadcast
+    shape.
+    """
+    a, b, c = (np.array(v, dtype=np.uint32) for v in np.broadcast_arrays(a, b, c))
+    h = a ^ b ^ c ^ np.uint32(CRUSH_HASH_SEED)
+    x = np.full_like(h, 231232)
+    y = np.full_like(h, 1232)
+    a, b, h = _mix_u32(a, b, h)
+    c, x, h = _mix_u32(c, x, h)
+    y, a, h = _mix_u32(y, a, h)
+    b, x, h = _mix_u32(b, x, h)
+    y, c, h = _mix_u32(y, c, h)
     return h
 
 

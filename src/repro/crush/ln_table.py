@@ -11,11 +11,16 @@ self-contained.
 ``straw2`` uses ``crush_ln(u16) - 2**48`` as a fixed-point sample of
 ``2**44 * log2(u/2**16)`` — i.e. the log of a uniform variate — turning
 bucket selection into a weighted exponential race.
+
+:func:`crush_ln_many` is the same computation over a numpy array, for
+the straw2 batch kernel.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 # Keyed directly by index1 = 2*(x>>8) for normalized x in [0x8000, 0x10000]:
 #   _RH[index1] = 2^56 / index1           (reciprocal)
@@ -29,6 +34,11 @@ _LH = {i: int(round((1 << 48) * math.log2(i / 256.0))) for i in range(256, 513)}
 
 # Low-order correction: _LL[j] = 2^48 * log2(1 + j/2^15), j in [0, 255].
 _LL = [int(round((1 << 48) * math.log2(1.0 + j / 32768.0))) for j in range(256)]
+
+# The same tables as int64 arrays indexed by index1 / index2.
+_RH_ARRAY = np.array([_RH.get(i, 0) for i in range(513)], dtype=np.int64)
+_LH_ARRAY = np.array([_LH.get(i, 0) for i in range(513)], dtype=np.int64)
+_LL_ARRAY = np.array(_LL, dtype=np.int64)
 
 #: 2**48 in the crush_ln fixed-point scale — the value of crush_ln(0xffff).
 LN_ONE = 0x1000000000000
@@ -63,6 +73,24 @@ def crush_ln(xin: int) -> int:
     result = iexpon << 44
     result += (lh + ll) >> 4
     return result
+
+
+def crush_ln_many(xin) -> np.ndarray:
+    """:func:`crush_ln` elementwise over an integer array (``int64`` result).
+
+    Everything runs in ``int64`` except ``x * RH[index1]``, which reaches
+    just above 2**63 for ``x = 0xffff`` and is taken in ``uint64`` through
+    views (both factors are non-negative).
+    """
+    x = (np.asarray(xin, dtype=np.int64) & 0xFFFF) + 1
+    # frexp's exponent is the bit length, so this shifts the top bit of x
+    # to bit 15; clamping to 0xffff leaves 0x10000 unshifted, as in crush_ln.
+    bits = 16 - np.frexp(np.minimum(x, 0xFFFF))[1].astype(np.int64)
+    x <<= bits
+    index1 = (x >> 8) << 1
+    xl64 = (x.view(np.uint64) * _RH_ARRAY[index1].view(np.uint64)) >> np.uint64(48)
+    ll = _LL_ARRAY[xl64.view(np.int64) & 0xFF]
+    return ((15 - bits) << 44) + ((_LH_ARRAY[index1] + ll) >> 4)
 
 
 def ln_of_uniform_u16(u: int) -> int:

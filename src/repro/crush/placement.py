@@ -3,18 +3,20 @@
 This is the computation the DeLiBA-K FPGA executes in the datapath: hash
 the object name to a placement group (PG) with Ceph's *stable mod*, then
 run the pool's CRUSH rule on the PG seed to obtain the acting set of
-OSDs.  :class:`PlacementEngine` caches PG mappings per map epoch, since a
-PG's acting set only changes when the map changes.
+OSDs.  A PG's acting set only changes when the map changes, so
+:class:`PlacementEngine` computes a whole pool's PG -> acting table at
+once, in one batched rule pass, and serves every later lookup from it
+until the map changes.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..errors import CrushError
 from .hashing import hash32_2, str_hash
 from .map import CrushMap
-from .rules import CrushRule, Mapper
+from .rules import Mapper
 from .types import CRUSH_ITEM_NONE
 
 
@@ -47,46 +49,53 @@ def pg_seed(pool_id: int, pg_id: int) -> int:
 
 
 class PlacementEngine:
-    """Caches rule executions per (pool, pg, size) for one map epoch."""
+    """PG -> acting-set tables, one per pool, each filled in one CRUSH pass.
+
+    A table holds the acting set of every PG of a pool and is filled the
+    first time any reader looks that pool up, by one
+    :meth:`Mapper.do_rule_many` over all ``pg_num`` PG seeds.  The
+    tables answer for the map as it was when they were filled:
+    :meth:`invalidate` drops them.  An :class:`~repro.osd.osdmap.OSDMap`
+    owns one engine and invalidates it on every epoch bump, so all of its
+    readers share one table per pool per epoch (Ceph's
+    ``OSDMapMapping``).
+
+    ``pool`` arguments are anything with ``pool_id``, ``pg_num``,
+    ``rule`` and ``size`` (an OSD-layer ``Pool``).
+    """
 
     def __init__(self, cmap: CrushMap, total_tries: Optional[int] = None):
         self.map = cmap
         self.mapper = Mapper(cmap) if total_tries is None else Mapper(cmap, total_tries)
-        self.epoch = 1
-        self._cache: dict[tuple[int, int, int, int], list[int]] = {}
-        #: True when the last pg_to_osds call ran CRUSH (cache miss).
-        self.last_was_miss = False
-        self.hits = 0
-        self.misses = 0
+        self._tables: dict[int, tuple[tuple[int, ...], ...]] = {}
+        #: Tables filled so far (one batched CRUSH pass each).
+        self.fills = 0
 
     def invalidate(self) -> None:
-        """Bump the epoch after any map mutation (device out/in/reweight)."""
-        self.epoch += 1
-        self._cache.clear()
+        """Drop every table; the next lookup refills from the current map."""
+        self._tables.clear()
 
-    def pg_to_osds(self, pool_id: int, pg_id: int, rule: CrushRule, size: int) -> list[int]:
+    def table(self, pool) -> tuple[tuple[int, ...], ...]:
+        """Acting set of every PG of ``pool``, indexed by PG id."""
+        table = self._tables.get(pool.pool_id)
+        if table is None:
+            seeds = [pg_seed(pool.pool_id, pg) for pg in range(pool.pg_num)]
+            acting = self.mapper.do_rule_many(pool.rule, seeds, pool.size)
+            table = self._tables[pool.pool_id] = tuple(map(tuple, acting))
+            self.fills += 1
+        return table
+
+    def pg_to_osds(self, pool, pg_id: int) -> tuple[int, ...]:
         """Acting set for a PG: up to ``size`` OSD ids (holes for indep rules)."""
-        key = (pool_id, pg_id, rule.rule_id, size)
-        hit = self._cache.get(key)
-        if hit is not None:
-            self.last_was_miss = False
-            self.hits += 1
-            return hit
-        osds = self.mapper.do_rule(rule, pg_seed(pool_id, pg_id), size)
-        self._cache[key] = osds
-        self.last_was_miss = True
-        self.misses += 1
-        return osds
+        return self.table(pool)[pg_id]
 
-    def object_to_osds(
-        self, pool_id: int, object_name: str, pg_num: int, rule: CrushRule, size: int
-    ) -> tuple[int, list[int]]:
+    def object_to_osds(self, pool, object_name: str) -> tuple[int, tuple[int, ...]]:
         """Full path: object name -> (pg_id, acting set)."""
-        pg_id = object_to_pg(object_name, pg_num)
-        return pg_id, self.pg_to_osds(pool_id, pg_id, rule, size)
+        pg_id = object_to_pg(object_name, pool.pg_num)
+        return pg_id, self.pg_to_osds(pool, pg_id)
 
     @staticmethod
-    def primary_of(acting: list[int]) -> Optional[int]:
+    def primary_of(acting: Sequence[int]) -> Optional[int]:
         """First non-hole OSD in the acting set, or None when empty."""
         for osd in acting:
             if osd != CRUSH_ITEM_NONE:

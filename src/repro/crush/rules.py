@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Generator, Optional, Sequence
 
 from ..errors import CrushError
+from .buckets import Bucket
 from .hashing import hash32_2
 from .map import CrushMap
 from .types import CRUSH_ITEM_NONE, WEIGHT_ONE, DeviceClass
@@ -27,6 +28,10 @@ from .types import CRUSH_ITEM_NONE, WEIGHT_ONE, DeviceClass
 CHOOSE_TOTAL_TRIES = 50
 #: Maximum descent depth (guards against malformed cyclic maps).
 MAX_DEPTH = 32
+
+#: A rule walk (or part of one): yields ``(bucket, r)`` choose requests,
+#: is sent the chosen item, and returns its result.
+Walk = Generator[tuple[Bucket, int], int, object]
 
 
 class StepOp(Enum):
@@ -113,21 +118,27 @@ def erasure_rule(
 
 
 class Mapper:
-    """Executes rules against a :class:`CrushMap`."""
+    """Executes rules against a :class:`CrushMap`.
+
+    A rule execution is a *walk*: a generator that runs the rule for one
+    input ``x`` and, whenever it needs a bucket draw, yields
+    ``(bucket, r)`` and is sent back ``bucket.choose(x, r)``.
+    :meth:`do_rule_many` advances the walks of many inputs in lockstep
+    and answers each round's requests bucket by bucket with one
+    :meth:`~repro.crush.buckets.Bucket.choose_many`; :meth:`do_rule` is
+    the one-input case.
+    """
 
     def __init__(self, cmap: CrushMap, total_tries: int = CHOOSE_TOTAL_TRIES):
         self.map = cmap
         self.total_tries = total_tries
-        #: abstract op count of the last do_rule call (profiling hook)
-        self.last_ops = 0
-        self._required_class: Optional[DeviceClass] = None
 
     # -- device acceptance -------------------------------------------------------
 
-    def _device_ok(self, dev_id: int, x: int) -> bool:
+    def _device_ok(self, dev_id: int, x: int, device_class: Optional[DeviceClass]) -> bool:
         """Class filter plus reweight test (probability reweight/0x10000)."""
         dev = self.map.devices[dev_id]
-        if self._required_class is not None and dev.device_class != self._required_class:
+        if device_class is not None and dev.device_class != device_class:
             return False
         if dev.reweight >= WEIGHT_ONE:
             return True
@@ -137,7 +148,7 @@ class Mapper:
 
     # -- descent -----------------------------------------------------------------
 
-    def _descend(self, start: int, x: int, r: int, want_type: int) -> Optional[int]:
+    def _descend(self, start: int, r: int, want_type: int) -> Walk:
         """Walk from ``start`` down to an item of ``want_type`` using rank r."""
         node = start
         for _ in range(MAX_DEPTH):
@@ -148,26 +159,27 @@ class Mapper:
             bucket = self.map.buckets[node]
             if bucket.size == 0:
                 return None
-            item = bucket.choose(x, r)
-            self.last_ops += bucket.last_ops
-            node = item
+            node = yield bucket, r
         raise CrushError(f"descent from {start} exceeded max depth {MAX_DEPTH}")
 
-    def _leaf_under(self, node: int, x: int, rank: int) -> Optional[int]:
+    def _leaf_under(
+        self, node: int, x: int, rank: int, device_class: Optional[DeviceClass]
+    ) -> Walk:
         """Pick one acceptable device under ``node`` (chooseleaf recursion)."""
         for ftotal in range(self.total_tries):
-            item = self._descend(node, x, rank + ftotal * 7919, want_type=0)
+            item = yield from self._descend(node, rank + ftotal * 7919, want_type=0)
             if item is None:
                 continue
-            if self._device_ok(item, x):
+            if self._device_ok(item, x, device_class):
                 return item
         return None
 
     # -- choose ---------------------------------------------------------------------
 
     def _choose_firstn(
-        self, start: int, x: int, numrep: int, want_type: int, recurse_to_leaf: bool, out: list[int]
-    ) -> list[int]:
+        self, start: int, x: int, numrep: int, want_type: int, recurse_to_leaf: bool,
+        out: list[int], device_class: Optional[DeviceClass],
+    ) -> Walk:
         chosen: list[int] = []
         leaves: list[int] = []
         for rep in range(numrep):
@@ -175,17 +187,17 @@ class Mapper:
             leaf_found = None
             for ftotal in range(self.total_tries):
                 r = rep + ftotal
-                item = self._descend(start, x, r, want_type)
+                item = yield from self._descend(start, r, want_type)
                 if item is None or item in chosen:
                     continue
                 if recurse_to_leaf:
-                    leaf = self._leaf_under(item, x, rep)
+                    leaf = yield from self._leaf_under(item, x, rep, device_class)
                     if leaf is None or leaf in leaves or leaf in out:
                         continue
                     found, leaf_found = item, leaf
                     break
                 if want_type == 0:
-                    if not self._device_ok(item, x) or item in out:
+                    if not self._device_ok(item, x, device_class) or item in out:
                         continue
                 found = item
                 break
@@ -196,8 +208,9 @@ class Mapper:
         return leaves if recurse_to_leaf else chosen
 
     def _choose_indep(
-        self, start: int, x: int, numrep: int, want_type: int, recurse_to_leaf: bool, out: list[int]
-    ) -> list[int]:
+        self, start: int, x: int, numrep: int, want_type: int, recurse_to_leaf: bool,
+        out: list[int], device_class: Optional[DeviceClass],
+    ) -> Walk:
         # Breadth-first rounds (as in crush_choose_indep): every unfilled
         # slot tries once per round with r = rep + round*numrep.  Round 0
         # draws are therefore identical whether or not other slots failed,
@@ -210,17 +223,17 @@ class Mapper:
                 break
             for rep in unfilled:
                 r = rep + ftotal * numrep
-                item = self._descend(start, x, r, want_type)
+                item = yield from self._descend(start, r, want_type)
                 if item is None or item in taken or item in result:
                     continue
                 if recurse_to_leaf:
-                    leaf = self._leaf_under(item, x, rep)
+                    leaf = yield from self._leaf_under(item, x, rep, device_class)
                     if leaf is None or leaf in taken or leaf in result:
                         continue
                     result[rep] = leaf
                     taken.add(leaf)
                     continue
-                if want_type == 0 and not self._device_ok(item, x):
+                if want_type == 0 and not self._device_ok(item, x, device_class):
                     continue
                 result[rep] = item
                 taken.add(item)
@@ -228,17 +241,8 @@ class Mapper:
 
     # -- rule execution ----------------------------------------------------------------
 
-    def do_rule(self, rule: CrushRule, x: int, num_rep: int) -> list[int]:
-        """Map input ``x`` to ``num_rep`` items under ``rule``.
-
-        firstn rules return up to ``num_rep`` devices (possibly fewer);
-        indep rules return exactly ``num_rep`` slots with
-        :data:`CRUSH_ITEM_NONE` holes where placement failed.
-        """
-        if num_rep < 1:
-            raise CrushError(f"num_rep must be >= 1, got {num_rep}")
-        self.last_ops = 0
-        self._required_class = rule.device_class
+    def _walk(self, rule: CrushRule, x: int, num_rep: int) -> Walk:
+        """The whole rule for input ``x``; returns the emitted items."""
         working: list[int] = []
         out: list[int] = []
         for step in rule.steps:
@@ -254,15 +258,56 @@ class Mapper:
                 numrep = min(numrep, num_rep) if step.num == 0 else numrep
                 firstn = step.op in (StepOp.CHOOSE_FIRSTN, StepOp.CHOOSELEAF_FIRSTN)
                 to_leaf = step.op in (StepOp.CHOOSELEAF_FIRSTN, StepOp.CHOOSELEAF_INDEP)
+                choose = self._choose_firstn if firstn else self._choose_indep
                 next_working: list[int] = []
                 for node in working:
-                    if firstn:
-                        next_working.extend(
-                            self._choose_firstn(node, x, numrep, step.type_id, to_leaf, out)
-                        )
-                    else:
-                        next_working.extend(
-                            self._choose_indep(node, x, numrep, step.type_id, to_leaf, out)
-                        )
+                    next_working.extend(
+                        (yield from choose(
+                            node, x, numrep, step.type_id, to_leaf, out, rule.device_class
+                        ))
+                    )
                 working = next_working
         return out
+
+    def do_rule_many(self, rule: CrushRule, xs: Sequence[int], num_rep: int) -> list[list[int]]:
+        """``[do_rule(rule, x, num_rep) for x in xs]``, in one batched pass.
+
+        Every round sends each live walk the item it asked for and
+        collects its next request; requests are grouped by bucket, and a
+        group of two or more is answered by one ``choose_many``.
+        """
+        if num_rep < 1:
+            raise CrushError(f"num_rep must be >= 1, got {num_rep}")
+        walks = [self._walk(rule, x, num_rep) for x in xs]
+        results: list[list[int]] = [[] for _ in walks]
+        replies: list[tuple[int, Optional[int]]] = [(i, None) for i in range(len(walks))]
+        while replies:
+            groups: dict[int, tuple[Bucket, list[int], list[int]]] = {}
+            for i, item in replies:
+                try:
+                    bucket, r = walks[i].send(item)
+                except StopIteration as done:
+                    results[i] = done.value
+                    continue
+                group = groups.get(bucket.id)
+                if group is None:
+                    group = groups[bucket.id] = (bucket, [], [])
+                group[1].append(i)
+                group[2].append(r)
+            replies = []
+            for bucket, idx, rs in groups.values():
+                if len(idx) == 1:
+                    items = [bucket.choose(xs[idx[0]], rs[0])]
+                else:
+                    items = bucket.choose_many([xs[i] for i in idx], rs)
+                replies.extend(zip(idx, items))
+        return results
+
+    def do_rule(self, rule: CrushRule, x: int, num_rep: int) -> list[int]:
+        """Map input ``x`` to ``num_rep`` items under ``rule``.
+
+        firstn rules return up to ``num_rep`` devices (possibly fewer);
+        indep rules return exactly ``num_rep`` slots with
+        :data:`CRUSH_ITEM_NONE` holes where placement failed.
+        """
+        return self.do_rule_many(rule, [x], num_rep)[0]

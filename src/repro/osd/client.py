@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from ..crush import CRUSH_ITEM_NONE, PlacementEngine
+from ..crush import CRUSH_ITEM_NONE
 from ..ec import ReedSolomon
 from ..errors import OsdOpError, StorageError
 from ..sim import NULL_METRICS, Environment
@@ -46,13 +46,14 @@ class RadosClient(Messenger):
     ):
         super().__init__(env, fabric, name)
         self.osdmap = osdmap
-        self.placement = PlacementEngine(osdmap.crush)
         self._placement_epoch = osdmap.epoch
-        #: Epoch-keyed placement cache: (pool_id, object) -> (acting, ops).
+        #: Epoch-keyed placement cache: (pool_id, object) -> acting set.
         #: Valid for ``_placement_epoch`` only; cleared on any map bump
         #: (including the OpPolicy failover refresh), so a stale epoch is
         #: never served.
-        self._placement_cache: dict[tuple[int, str], tuple[tuple[int, ...], int]] = {}
+        self._placement_cache: dict[tuple[int, str], tuple[int, ...]] = {}
+        #: (pool_id, pg) this client has looked up in ``_placement_epoch``.
+        self._seen_pgs: set[tuple[int, int]] = set()
         self._codecs: dict[int, ReedSolomon] = {}
         self.policy = policy or DEFAULT_POLICY
         #: RNG substream for backoff jitter (None = no jitter).
@@ -61,10 +62,9 @@ class RadosClient(Messenger):
         #: per-call ``tenant`` argument is empty (one client per VM).
         self.tenant = ""
         self.ops_completed = 0
-        #: CRUSH work counter of the last placement (profiling hook).
-        self.last_placement_ops = 0
-        #: True when the last compute_placement actually ran CRUSH (the
-        #: cost-model hook: hits pay only a hash + lookup).
+        #: True when the last compute_placement was this client's first
+        #: lookup of the PG in this epoch (the cost-model hook: a real
+        #: client runs CRUSH then; hits pay only a hash + lookup).
         self.last_was_miss = False
         # Fault-path accounting (mirrored into the metrics registry).
         self.retries = 0
@@ -92,11 +92,11 @@ class RadosClient(Messenger):
         return self._codecs[pool.pool_id]
 
     def compute_placement(self, pool: Pool, object_name: str) -> tuple[int, ...]:
-        """Object -> acting set via CRUSH, memoized per map epoch.
+        """Object -> acting set via the map's PG table, memoized per epoch.
 
-        The per-client cache short-circuits the whole object->pg->OSD
-        path (name hash + stable-mod + rule execution) for repeat
-        touches of an object within one OSDMap epoch.  Any epoch bump —
+        The per-client cache short-circuits the object->pg->OSD path
+        (name hash + stable-mod + table lookup) for repeat touches of an
+        object within one OSDMap epoch.  Any epoch bump —
         device out/in, reweight, or the OpPolicy failover refresh —
         clears it, so a cached acting set is never served across map
         changes.  The acting set is returned as a tuple: the cached
@@ -106,30 +106,25 @@ class RadosClient(Messenger):
         """
         epoch = self.osdmap.epoch
         if self._placement_epoch != epoch:
-            self.placement.invalidate()
             self._placement_cache.clear()
+            self._seen_pgs.clear()
             self._placement_epoch = epoch
         key = (pool.pool_id, object_name)
-        entry = self._placement_cache.get(key)
-        if entry is not None:
-            acting, ops = entry
-            self.last_placement_ops = ops
+        acting = self._placement_cache.get(key)
+        if acting is not None:
             self.last_was_miss = False
             self._m_place_hits.add()
             if CRUSH_ITEM_NONE in acting:
                 self.degraded_placements += 1
                 self._m_degraded_placements.add()
             return acting
-        _pg, acting_list = self.placement.object_to_osds(
-            pool.pool_id, object_name, pool.pg_num, pool.rule, pool.size
-        )
-        acting = tuple(acting_list)
-        ops = self.placement.mapper.last_ops
-        self.last_placement_ops = ops
-        # A client-cache miss may still be a PG-cache hit in the engine;
-        # the cost model charges the full CRUSH cost only on real misses.
-        self.last_was_miss = self.placement.last_was_miss
-        self._placement_cache[key] = (acting, ops)
+        pg, acting = self.osdmap.placement.object_to_osds(pool, object_name)
+        # An object-cache miss may still hit a PG this client already
+        # looked up; the cost model charges full CRUSH only on a new PG.
+        pg_key = (pool.pool_id, pg)
+        self.last_was_miss = pg_key not in self._seen_pgs
+        self._seen_pgs.add(pg_key)
+        self._placement_cache[key] = acting
         self._m_place_misses.add()
         if CRUSH_ITEM_NONE in acting:
             self.degraded_placements += 1

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Generator
 
-from ..crush import CRUSH_ITEM_NONE, PlacementEngine
+from ..crush import CRUSH_ITEM_NONE
 from ..errors import StorageError
 from ..sim import NULL_METRICS, Environment
 from .ops import OpKind, OsdOp
@@ -163,7 +163,6 @@ class Monitor:
         Returns :class:`RecoveryStats`.
         """
         stats = RecoveryStats()
-        placement = PlacementEngine(self.osdmap.crush)
         live = {o: self.daemons[o] for o in self.osdmap.up_osds()}
         # Collect every logical object known to any live OSD in this pool.
         names: set[str] = set()
@@ -173,9 +172,7 @@ class Monitor:
                 names.add(base)
         for name in sorted(names):
             stats.objects_examined += 1
-            acting = placement.object_to_osds(
-                pool.pool_id, name, pool.pg_num, pool.rule, pool.size
-            )[1]
+            acting = self.osdmap.placement.object_to_osds(pool, name)[1]
             if pool.pool_type == PoolType.REPLICATED:
                 moved = yield from self._recover_replicated(name, acting, live, helper_daemon)
             else:

@@ -2,8 +2,9 @@
 
 The OSDMap is the authoritative description of the cluster that the
 monitor publishes and every client caches.  Any change (device failure,
-pool creation, reweight) bumps the epoch; cached CRUSH placements are
-only valid for the epoch they were computed at.
+pool creation, reweight) bumps the epoch.  The map owns the CRUSH
+placement: one PG -> acting table per pool, computed for the current
+epoch and shared by every reader (clients, recovery, monitor, scrub).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from ..crush import CrushMap, CrushRule, erasure_rule, replicated_rule
+from ..crush import CrushMap, CrushRule, PlacementEngine, erasure_rule, replicated_rule
 from ..errors import StorageError
 
 
@@ -66,6 +67,8 @@ class OSDMap:
     def __init__(self, crush: CrushMap):
         self.crush = crush
         self.epoch = 1
+        #: PG -> acting tables of the current epoch, filled on first lookup.
+        self.placement = PlacementEngine(crush)
         self.osds: dict[int, OsdState] = {}
         self.pools: dict[int, Pool] = {}
         self._next_pool_id = 1
@@ -78,8 +81,13 @@ class OSDMap:
         self._watchers.append(callback)
 
     def bump(self) -> int:
-        """Advance the epoch and notify watchers; returns the new epoch."""
+        """Advance the epoch and notify watchers; returns the new epoch.
+
+        The placement tables are dropped first, so every reader, watchers
+        included, sees acting sets computed against the new map.
+        """
         self.epoch += 1
+        self.placement.invalidate()
         for callback in list(self._watchers):
             callback(self.epoch)
         return self.epoch

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Generator, Optional
 
-from ..crush import CRUSH_ITEM_NONE, PlacementEngine
+from ..crush import CRUSH_ITEM_NONE
 from ..crush.placement import object_to_pg
 from ..net.stack import KERNEL_TCP
 from ..sim import NULL_METRICS, Environment, Event, Resource
@@ -136,7 +136,6 @@ class RecoveryManager:
         self.daemons = cluster.daemons
         self.config = config or RecoveryConfig()
         self.tracer = tracer
-        self.placement = PlacementEngine(self.osdmap.crush)
         metrics = metrics or NULL_METRICS
         self._metrics = metrics
         self.pgs: dict[tuple[int, int], PGInfo] = {}
@@ -212,13 +211,11 @@ class RecoveryManager:
         """Create PGInfo entries for any new pool (treated clean: pools
         are born empty, so their current acting set is authoritative)."""
         for pool in self.osdmap.pools.values():
+            table = self.osdmap.placement.table(pool)
             for pg in range(pool.pg_num):
                 key = (pool.pool_id, pg)
                 if key not in self.pgs:
-                    acting = tuple(
-                        self.placement.pg_to_osds(pool.pool_id, pg, pool.rule, pool.size)
-                    )
-                    info = PGInfo(pool.pool_id, pg, acting=acting)
+                    info = PGInfo(pool.pool_id, pg, acting=table[pg])
                     self.pgs[key] = info
                     self._state_gauges[PGState.ACTIVE].add()
 
@@ -231,25 +228,22 @@ class RecoveryManager:
     def _on_epoch(self, epoch: int) -> None:
         """OSDMap watcher: diff every PG's acting set; changed PGs go to
         peering and a job is queued on the new primary's agent."""
-        self.placement.invalidate()
         self._sync_pools()
         self._sync_agents()
         for (pool_id, pg), info in sorted(self.pgs.items()):
-            pool = self.osdmap.pools[pool_id]
-            acting = tuple(self.placement.pg_to_osds(pool_id, pg, pool.rule, pool.size))
+            acting = self._acting(info)
             if acting != info.acting:
                 self._schedule_peer(info, acting)
 
     def kick(self) -> None:
         """Force a peer-and-recover pass over every PG (used when
         recovery is enabled on a cluster that may already be damaged)."""
-        self.placement.invalidate()
         for _, info in sorted(self.pgs.items()):
-            pool = self.osdmap.pools[info.pool_id]
-            acting = tuple(
-                self.placement.pg_to_osds(info.pool_id, info.pg_id, pool.rule, pool.size)
-            )
-            self._schedule_peer(info, acting)
+            self._schedule_peer(info, self._acting(info))
+
+    def _acting(self, info: PGInfo) -> tuple[int, ...]:
+        """The PG's acting set in the current epoch's table."""
+        return self.osdmap.placement.pg_to_osds(self.osdmap.pools[info.pool_id], info.pg_id)
 
     def _is_up(self, osd_id: int) -> bool:
         state = self.osdmap.osds.get(osd_id)

@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
-from ..crush import CRUSH_ITEM_NONE, PlacementEngine
+from ..crush import CRUSH_ITEM_NONE
 from ..errors import DecodeError
 from ..sim import Environment
 from .monitor import Monitor
@@ -82,12 +82,10 @@ class Scrubber:
         report = ScrubReport(pool.name, deep)
         live = self._live_daemons()
         helper = next(iter(live.values()))
-        placement = PlacementEngine(self.monitor.osdmap.crush)
+        placement = self.monitor.osdmap.placement
         for name in self._object_names(pool, live):
             report.objects_examined += 1
-            acting = placement.object_to_osds(
-                pool.pool_id, name, pool.pg_num, pool.rule, pool.size
-            )[1]
+            acting = placement.object_to_osds(pool, name)[1]
             if pool.pool_type == PoolType.REPLICATED:
                 self._check_replication(pool, name, acting, live, report)
                 yield from self._scrub_replicated(pool, name, live, deep, repair, report, helper)

@@ -1,20 +1,21 @@
-"""Property tests for the client-side epoch-keyed placement cache.
+"""Property tests for the epoch-keyed placement caches.
 
-The cache on :class:`repro.osd.client.RadosClient` memoizes the full
-object -> PG -> acting-set path per OSDMap epoch.  Its contract:
+Two caches sit on the object -> PG -> acting-set path: the OSDMap's
+shared PG table (one per pool per epoch) and the object cache on
+:class:`repro.osd.client.RadosClient` in front of it.  Their contract:
 
 * a cached answer is always identical to a freshly computed one against
   the current map (over random maps, pools, and object names);
 * any epoch bump — device out/in, as driven by the OpPolicy failover
-  refresh — invalidates every entry, so a stale acting set is never
-  served; and
+  refresh — invalidates every entry of both, so a stale acting set is
+  never served; and
 * hit/miss counters in the metrics registry reflect reality.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crush import PlacementEngine, build_flat_cluster
+from repro.crush import Mapper, build_flat_cluster, object_to_pg, pg_seed
 from repro.net.stack import KERNEL_TCP
 from repro.net.topology import Network
 from repro.osd.client import RadosClient
@@ -39,13 +40,17 @@ def make_client(num_osds, pg_num, size, metrics=None):
 
 
 def fresh_placement(osdmap, pool, name):
-    """Ground truth: a brand-new engine with no cache of any kind."""
-    _pg, acting = PlacementEngine(osdmap.crush).object_to_osds(
-        pool.pool_id, name, pool.pg_num, pool.rule, pool.size
-    )
+    """Ground truth: one scalar rule run, with no cache of any kind."""
+    pg = object_to_pg(name, pool.pg_num)
+    acting = Mapper(osdmap.crush).do_rule(pool.rule, pg_seed(pool.pool_id, pg), pool.size)
     # The client returns an immutable tuple (its cached entry must not
     # alias caller-visible state); compare values in the same shape.
     return tuple(acting)
+
+
+def table_placement(osdmap, pool, name):
+    """The answer of the map's shared PG table."""
+    return osdmap.placement.object_to_osds(pool, name)[1]
 
 
 @st.composite
@@ -78,6 +83,7 @@ def test_cached_placement_equals_fresh_computation(case):
         assert again == first
         assert not client.last_was_miss
         assert first == fresh_placement(osdmap, pool, name)
+        assert table_placement(osdmap, pool, name) == first
 
 
 @given(cluster_and_objects(), st.data())
@@ -106,6 +112,7 @@ def test_epoch_bump_never_serves_stale_placement(case, data):
         for name in names:
             acting = client.compute_placement(pool, name)
             assert acting == fresh_placement(osdmap, pool, name)
+            assert table_placement(osdmap, pool, name) == acting
             assert client._placement_epoch == osdmap.epoch
         for name in names:  # repeat queries inside the epoch are hits
             client.compute_placement(pool, name)

@@ -24,6 +24,7 @@ from repro.crush import (
     stable_mod,
 )
 from repro.errors import CrushError
+from repro.osd.osdmap import OSDMap
 
 
 def make_cluster(n=12, alg=BucketAlg.STRAW2):
@@ -305,24 +306,28 @@ def test_pg_split_stability():
     assert moved > 0 and stayed > 0
 
 
+def make_osdmap(n=8, pg_num=64, size=3):
+    cmap, root = make_cluster(n)
+    osdmap = OSDMap(cmap)
+    for i in range(n):
+        osdmap.register_osd(i, "h0")
+    return osdmap, osdmap.create_replicated_pool("p", pg_num, size, root)
+
+
 def test_placement_engine_caches_and_invalidates():
-    cmap, root = make_cluster(8)
-    eng = PlacementEngine(cmap)
-    rule = replicated_rule(root)
-    a = eng.pg_to_osds(1, 5, rule, 3)
-    assert eng.pg_to_osds(1, 5, rule, 3) is a  # cached
-    cmap.mark_out(a[0])
-    eng.invalidate()
-    b = eng.pg_to_osds(1, 5, rule, 3)
+    osdmap, pool = make_osdmap()
+    eng = osdmap.placement
+    a = eng.pg_to_osds(pool, 5)
+    assert eng.pg_to_osds(pool, 5) is a  # cached
+    osdmap.mark_down(a[0])  # the epoch bump drops the table
+    b = eng.pg_to_osds(pool, 5)
     assert b is not a
     assert a[0] not in b
 
 
 def test_placement_engine_object_roundtrip():
-    cmap, root = make_cluster(8)
-    eng = PlacementEngine(cmap)
-    rule = replicated_rule(root)
-    pg, osds = eng.object_to_osds(1, "rbd_data.1.0", 64, rule, 3)
+    osdmap, pool = make_osdmap()
+    pg, osds = osdmap.placement.object_to_osds(pool, "rbd_data.1.0")
     assert 0 <= pg < 64
     assert len(osds) == 3
 

@@ -160,16 +160,18 @@ def test_ec_durability_property(k, m, data, seed):
 @settings(max_examples=20, deadline=None)
 def test_crush_epoch_cache_transparency(x):
     """Cached and uncached placements are identical within an epoch."""
-    from repro.crush import PlacementEngine, build_flat_cluster, replicated_rule
+    from repro.crush import Mapper, build_flat_cluster, pg_seed
+    from repro.osd.osdmap import OSDMap
 
     cmap, root = build_flat_cluster(8)
-    eng = PlacementEngine(cmap)
-    rule = replicated_rule(root)
-    first = eng.pg_to_osds(1, x % 64, rule, 3)
-    second = eng.pg_to_osds(1, x % 64, rule, 3)
+    osdmap = OSDMap(cmap)
+    pool = osdmap.create_replicated_pool("p", 64, 3, root)
+    eng = osdmap.placement
+    first = eng.pg_to_osds(pool, x % 64)
+    second = eng.pg_to_osds(pool, x % 64)
     assert first == second
-    assert eng.placement_was_cached if hasattr(eng, "placement_was_cached") else True
-    assert eng.hits >= 1
+    assert list(first) == Mapper(cmap).do_rule(pool.rule, pg_seed(pool.pool_id, x % 64), 3)
+    assert eng.fills == 1
 
 
 def test_run_result_metric_consistency():

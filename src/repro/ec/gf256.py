@@ -2,13 +2,16 @@
 
 The field is built over the AES/Rijndael-compatible primitive polynomial
 ``x^8 + x^4 + x^3 + x^2 + 1`` (0x11D, the polynomial used by ISA-L,
-jerasure, and Ceph's Reed-Solomon plugins).  Multiplication uses
-log/antilog tables; bulk operations on byte arrays are vectorized per the
-HPC guide's "vectorize the hot loop" rule — encoding throughput depends
-on it.
+jerasure, and Ceph's Reed-Solomon plugins).  Scalar multiplication uses
+log/antilog tables; bulk operations on byte arrays gather from a full
+256x256 product table (one ``take`` per coefficient row), so the hot
+loop is a table lookup plus an XOR per byte — encoding throughput
+depends on it.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -35,6 +38,23 @@ for _i in range(255):
         _x ^= PRIMITIVE_POLY
 for _i in range(255, 512):
     _EXP[_i] = _EXP[_i - 255]
+
+
+@functools.cache
+def _mul_table() -> np.ndarray:
+    """Full product table: ``_mul_table()[a, b] == gf_mul(a, b)``.
+
+    Row ``a`` is the byte map "multiply by a", so scaling a block is one
+    ``take``.  Row and column 0 stay zero (``_LOG[0]`` is a placeholder).
+    Built on first use, a row at a time: runs that never touch an
+    erasure-coded pool do not hold its 64 KiB.  Read-only, since every
+    caller shares the one array.
+    """
+    table = np.zeros((ORDER, ORDER), dtype=np.uint8)
+    for a in range(1, ORDER):
+        table[a, 1:] = _EXP[_LOG[a] + _LOG[1:]]
+    table.flags.writeable = False
+    return table
 
 
 def gf_add(a, b):
@@ -83,18 +103,10 @@ def gf_pow(a: int, n: int) -> int:
 def gf_mul_array(scalar: int, data: np.ndarray) -> np.ndarray:
     """Multiply every byte of ``data`` by ``scalar`` (vectorized).
 
-    This is the encoder's inner loop: one table gather per byte instead
-    of per-element Python arithmetic.
+    One gather from the product table's ``scalar`` row; always returns
+    a new array.
     """
-    data = np.asarray(data, dtype=np.uint8)
-    if scalar == 0:
-        return np.zeros_like(data)
-    if scalar == 1:
-        return data.copy()
-    log_s = int(_LOG[scalar])
-    out = _EXP[log_s + _LOG[data]].astype(np.uint8)
-    out[data == 0] = 0
-    return out
+    return _mul_table()[scalar].take(np.asarray(data, dtype=np.uint8))
 
 
 def gf_mul_add_array(acc: np.ndarray, scalar: int, data: np.ndarray) -> None:
@@ -104,24 +116,18 @@ def gf_mul_add_array(acc: np.ndarray, scalar: int, data: np.ndarray) -> None:
     np.bitwise_xor(acc, gf_mul_array(scalar, data), out=acc)
 
 
-#: Above this (m * k * blocksize) byte budget the broadcasted kernel's
-#: intermediate would thrash caches; fall back to the row-axpy loop.
-_MATMUL_BROADCAST_LIMIT = 1 << 26  # 64 MiB
-
-
 def gf_matmul(mat: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Matrix-vector product over GF(2^8) on byte blocks.
 
     ``mat`` is (m, k) of uint8 coefficients; ``data`` is (k, blocksize)
     bytes.  Returns (m, blocksize).  Each output row is the axpy-sum of
     the input rows — the exact dataflow of the paper's Reed-Solomon
-    encoder pipeline.
+    encoder pipeline: ``out[i] = XOR_j mul[mat[i, j]].take(data[j])``
+    with ``mul`` the product table.
 
-    The product is computed as one broadcasted table-gather + XOR
-    reduction (a single NumPy dispatch for the whole matrix) instead of
-    m*k Python-level axpy calls; field arithmetic is exact either way,
-    so the two paths are byte-identical.  Inputs too large for the
-    (m, k, blocksize) intermediate take the axpy loop.
+    Input rows are visited in the outer loop so each is widened to an
+    index array once and shared by all m outputs; the temporaries are
+    one block-sized index row and one product row, whatever m and k.
     """
     mat = np.asarray(mat, dtype=np.uint8)
     data = np.asarray(data, dtype=np.uint8)
@@ -131,19 +137,21 @@ def gf_matmul(mat: np.ndarray, data: np.ndarray) -> np.ndarray:
     if data.shape[0] != k:
         raise ErasureCodingError(f"shape mismatch: mat {mat.shape} vs data {data.shape}")
     blocksize = data.shape[1]
-    if m == 0 or k == 0 or blocksize == 0:
+    if k == 0 or blocksize == 0:
         return np.zeros((m, blocksize), dtype=np.uint8)
-    if m * k * blocksize > _MATMUL_BROADCAST_LIMIT:
-        out = np.zeros((m, blocksize), dtype=np.uint8)
-        for i in range(m):
-            acc = out[i]
-            for j in range(k):
-                gf_mul_add_array(acc, int(mat[i, j]), data[j])
-        return out
-    # exp(log a + log b) with zeros masked out: _LOG[0] is 0 (a lie), so
-    # any product with a zero coefficient or zero data byte is forced to
-    # zero explicitly before the XOR reduction.
-    prod = _EXP[_LOG[mat][:, :, None] + _LOG[data][None, :, :]]
-    nonzero = (mat != 0)[:, :, None] & (data != 0)[None, :, :]
-    prod &= np.where(nonzero, np.uint8(0xFF), np.uint8(0))
-    return np.bitwise_xor.reduce(prod, axis=1)
+    mul = _mul_table()
+    out = np.empty((m, blocksize), dtype=np.uint8)
+    rows = list(out)
+    cols = mat.T.tolist()
+    term = np.empty(blocksize, dtype=np.uint8)
+    # Byte indices never leave [0, 256), so mode="clip" only skips the
+    # bounds-checked (buffered) path of take(out=...).
+    index = data[0].astype(np.intp)
+    for acc, c in zip(rows, cols[0]):
+        mul[c].take(index, out=acc, mode="clip")
+    for j in range(1, k):
+        index = data[j].astype(np.intp)
+        for acc, c in zip(rows, cols[j]):
+            mul[c].take(index, out=term, mode="clip")
+            acc ^= term
+    return out

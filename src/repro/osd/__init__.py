@@ -11,7 +11,7 @@ from .faults import FaultInjector
 from .scrub import Inconsistency, ScrubReport, Scrubber
 from .zoned import Zone, ZoneState, ZonedDevice
 from .cluster import CephCluster, ClusterSpec, build_cluster
-from .fabric import Envelope, Fabric, MessageFaults, Messenger
+from .fabric import Fabric, MessageFaults, Messenger
 from .monitor import Monitor, RecoveryStats
 from .policy import DEFAULT_POLICY, OpPolicy
 from .objects import ObjectStore
@@ -60,7 +60,6 @@ __all__ = [
     "DEFAULT_OBJECT_SIZE",
     "DEFAULT_POLICY",
     "DurabilityConfig",
-    "Envelope",
     "MessageFaults",
     "OpPolicy",
     "Extent",

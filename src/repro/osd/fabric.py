@@ -8,17 +8,24 @@ same server) short-circuit through loopback at memory-copy cost.
 Long-lived connections are assumed (as in Ceph's messenger, which keeps
 sessions open), so no per-op handshake is charged.
 
-The :class:`Messenger` base class adds request/reply correlation: ops
-carry ids, replies resolve the matching pending event.
+Delivery is direct: once the receiver's stack cost is paid, the fabric
+calls the destination's attached receiver in the same step (no mailbox,
+no per-entity demux process).  A crashed entity's deliveries bounce
+instead; a registered entity with no receiver attached is a wiring bug
+and raises :class:`~repro.errors.NetworkError`.
+
+The :class:`Messenger` base class is that receiver: it adds
+request/reply correlation (ops carry ids, replies resolve the matching
+pending event) and spawns one handler process per incoming request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from ..errors import NetworkError, ProcessKilled
-from ..sim import Environment, Event, Store
+from ..sim import Environment, Event
 from ..status import BlkStatus
 from ..units import transfer_ns, us
 from .ops import OsdOp, OsdReply
@@ -31,17 +38,10 @@ LOOPBACK_NS = us(2)
 #: Memory bandwidth used for loopback copies.
 LOOPBACK_BW = 10e9  # bytes/sec
 
-
-@dataclass
-class Envelope:
-    """What a receiver pulls from its fabric inbox."""
-
-    src: str
-    payload: Any
-    size: int
-    #: Payload arrived damaged (chaos injection); receivers treat it as
-    #: a checksum mismatch instead of parsing garbage.
-    corrupted: bool = False
+#: What a fabric delivery calls: ``receiver(src, payload, corrupted)``.
+#: ``corrupted`` marks a payload damaged in flight (chaos injection);
+#: receivers treat it as a checksum mismatch instead of parsing garbage.
+Receiver = Callable[[str, Any, bool], None]
 
 
 @dataclass
@@ -88,7 +88,9 @@ class Fabric:
         self.network = network
         self._entity_host: dict[str, str] = {}
         self._entity_stack: dict[str, StackProfile] = {}
-        self._inbox: dict[str, Store] = {}
+        #: entity -> ``receiver(src, payload, corrupted)`` called on
+        #: delivery (None until the entity's messenger attaches).
+        self._receivers: dict[str, Optional[Receiver]] = {}
         #: Crashed entities and the status their bounces carry: a process
         #: crash answers with TRANSPORT (the peer kernel's RST); a power
         #: loss answers with the retryable AGAIN status.
@@ -105,7 +107,12 @@ class Fabric:
         self.network.host(host)  # validate
         self._entity_host[entity] = host
         self._entity_stack[entity] = stack
-        self._inbox[entity] = Store(self.env, name=f"fabric:{entity}")
+        self._receivers[entity] = None
+
+    def attach(self, entity: str, receiver: Receiver) -> None:
+        """Route ``entity``'s deliveries to ``receiver(src, payload, corrupted)``."""
+        self.host_of(entity)  # validate
+        self._receivers[entity] = receiver
 
     def set_stack(self, entity: str, stack: StackProfile) -> None:
         """Swap an entity's stack profile (framework configuration)."""
@@ -132,27 +139,21 @@ class Fabric:
         """True if the entity has crashed and not restarted."""
         return entity in self._dead
 
-    def drain_inbox(self, entity: str) -> list:
-        """Remove and return every queued envelope (crash handling)."""
-        store = self._inbox[entity]
-        items = list(store.items)
-        store.items.clear()
-        return items
-
     def send(self, src: str, dst: str, nbytes: int, payload: Any) -> Generator:
         """Process: deliver ``payload`` from ``src`` to ``dst``.
 
         Completes when the receiver's stack has processed the message and
-        it sits in the destination inbox.  Chaos faults (installed via
-        :attr:`faults`) and down links may instead lose, duplicate, or
-        damage the message after the sender's stack cost is paid; a dead
-        destination bounces requests with a transport-error reply.
+        the destination's receiver has been called with it.  Chaos faults
+        (installed via :attr:`faults`) and down links may instead lose,
+        duplicate, or damage the message after the sender's stack cost is
+        paid; a dead destination bounces requests with a transport-error
+        reply.
         """
         src_host = self.host_of(src)
         dst_host = self.host_of(dst)
         if src_host == dst_host:
             yield self.env.timeout(LOOPBACK_NS + transfer_ns(nbytes, LOOPBACK_BW))
-            self._deliver(src, dst, nbytes, payload, corrupted=False)
+            self._deliver(src, dst, payload, corrupted=False)
             return
         action = self.faults.classify() if self.faults is not None else None
         yield self.env.timeout(self._entity_stack[src].tx_ns(nbytes))
@@ -170,20 +171,21 @@ class Fabric:
         yield from self._wire(src, dst, nbytes, payload, corrupted=action == "corrupt")
 
     def _wire(self, src: str, dst: str, nbytes: int, payload: Any, corrupted: bool) -> Generator:
-        """Wire transfer + receiver stack + entity-inbox delivery (cross-host)."""
+        """Wire transfer + receiver stack + delivery (cross-host)."""
         src_host = self.host_of(src)
         dst_host = self.host_of(dst)
         msg = Message(src_host, dst_host, nbytes, payload=(src, dst))
         yield from self.network.transfer(msg, then=self._entity_stack[dst].rx_ns(nbytes))
-        self._deliver(src, dst, nbytes, payload, corrupted)
+        self._deliver(src, dst, payload, corrupted)
 
-    def _deliver(self, src: str, dst: str, nbytes: int, payload: Any, corrupted: bool) -> None:
-        # Entity inboxes are unbounded, so a put is accepted at once and
-        # the sender need not wait on it.
+    def _deliver(self, src: str, dst: str, payload: Any, corrupted: bool) -> None:
         if dst in self._dead:
             self._bounce(dst, src, payload)
             return
-        self._inbox[dst].put(Envelope(src, payload, nbytes, corrupted))
+        receiver = self._receivers[dst]
+        if receiver is None:
+            raise NetworkError(f"entity {dst!r} has no receiver attached")
+        receiver(src, payload, corrupted)
 
     def _bounce(self, dead: str, src: str, payload: Any) -> None:
         """Answer a request to a crashed entity with the kernel's RST."""
@@ -199,12 +201,6 @@ class Fabric:
     def send_async(self, src: str, dst: str, nbytes: int, payload: Any):
         """Fire-and-forget send (returns the delivery process event)."""
         return self.env.process(self.send(src, dst, nbytes, payload), name=f"{src}->{dst}")
-
-    def recv(self, entity: str):
-        """Event yielding the next :class:`Envelope` for ``entity``."""
-        if entity not in self._inbox:
-            raise NetworkError(f"unknown entity {entity!r}")
-        return self._inbox[entity].get()
 
 
 class Messenger:
@@ -223,27 +219,23 @@ class Messenger:
         #: In-flight request-handler processes, insertion-ordered so a
         #: crash kills them deterministically: proc -> (op_id, src).
         self._handlers: dict = {}
-        self._loop_proc = None
 
     def start(self) -> None:
-        """Spawn the demux loop (idempotent); clears any crash mark."""
+        """Attach to the fabric (idempotent); clears any crash mark."""
         self.fabric.mark_alive(self.entity)
-        if self._loop_proc is None:
-            self._loop_proc = self.env.process(self._demux(), name=f"msgr:{self.entity}")
+        self.fabric.attach(self.entity, self._on_message)
 
     def stop(self, status: BlkStatus = BlkStatus.TRANSPORT) -> None:
         """Crash the entity mid-op.
 
-        Kills the demux loop and every in-flight request handler, fails
-        this entity's own outstanding calls, and bounces queued/in-flight
-        requesters — nobody is left waiting on an event that will never
-        fire.  ``status`` selects the failure class the peers observe:
-        TRANSPORT for a process crash (connection reset), AGAIN for a
-        power loss (retryable — the entity returns after WAL replay).
+        Marks the entity dead (later deliveries bounce), kills every
+        in-flight request handler, fails this entity's own outstanding
+        calls, and resets in-flight requesters — nobody is left waiting
+        on an event that will never fire.  ``status`` selects the
+        failure class the peers observe: TRANSPORT for a process crash
+        (connection reset), AGAIN for a power loss (retryable — the
+        entity returns after WAL replay).
         """
-        if self._loop_proc is not None and self._loop_proc.is_alive:
-            self._loop_proc.interrupt("stopped")
-        self._loop_proc = None
         self.fabric.mark_dead(self.entity, status)
         # Kill in-flight handlers; their requesters see a reset.
         for proc, (op_id, src) in list(self._handlers.items()):
@@ -267,10 +259,6 @@ class Messenger:
                     )
                 )
         self._pending.clear()
-        # Bounce requests already accepted into the inbox but unread.
-        for envelope in self.fabric.drain_inbox(self.entity):
-            if isinstance(envelope.payload, OsdOp):
-                self._reset_reply(envelope.payload.op_id, envelope.src, status)
 
     def _reset_reply(
         self, op_id: int, src: str, status: BlkStatus = BlkStatus.TRANSPORT
@@ -285,46 +273,44 @@ class Messenger:
         reply = OsdReply(op_id, False, error=error, status=status)
         self.fabric.send_async(self.entity, src, reply.wire_size(), reply)
 
-    def _demux(self) -> Generator:
-        while True:
-            envelope = yield self.fabric.recv(self.entity)
-            payload = envelope.payload
-            if isinstance(payload, OsdReply):
-                if envelope.corrupted:
-                    # Damaged reply: surface a checksum failure, never
-                    # the (garbage) payload.
-                    payload = OsdReply(
+    def _on_message(self, src: str, payload: Any, corrupted: bool) -> None:
+        """Dispatch one delivered message (the fabric's receiver)."""
+        if isinstance(payload, OsdReply):
+            if corrupted:
+                # Damaged reply: surface a checksum failure, never the
+                # (garbage) payload.
+                payload = OsdReply(
+                    payload.op_id,
+                    False,
+                    error="reply payload failed checksum",
+                    status=BlkStatus.MEDIUM,
+                    epoch=payload.epoch,
+                )
+            pending = self._pending.pop(payload.op_id, None)
+            if pending is not None:
+                pending.succeed(payload)
+        elif corrupted and isinstance(payload, OsdOp):
+            # Damaged request: refuse instead of executing garbage.
+            self.env.process(
+                self.reply_to(
+                    src,
+                    OsdReply(
                         payload.op_id,
                         False,
-                        error="reply payload failed checksum",
+                        error="request payload failed checksum",
                         status=BlkStatus.MEDIUM,
-                        epoch=payload.epoch,
-                    )
-                pending = self._pending.pop(payload.op_id, None)
-                if pending is not None:
-                    pending.succeed(payload)
-            elif envelope.corrupted and isinstance(payload, OsdOp):
-                # Damaged request: refuse instead of executing garbage.
-                self.env.process(
-                    self.reply_to(
-                        envelope.src,
-                        OsdReply(
-                            payload.op_id,
-                            False,
-                            error="request payload failed checksum",
-                            status=BlkStatus.MEDIUM,
-                        ),
                     ),
-                    name=f"{self.entity}:crc{payload.op_id}",
-                )
-            else:
-                proc = self.env.process(
-                    self.on_request(payload, envelope.src),
-                    name=f"{self.entity}:op{getattr(payload, 'op_id', '?')}",
-                )
-                if isinstance(payload, OsdOp):
-                    self._handlers[proc] = (payload.op_id, envelope.src)
-                    proc.callbacks.append(self._reap_handler)
+                ),
+                name=f"{self.entity}:crc{payload.op_id}",
+            )
+        else:
+            proc = self.env.process(
+                self.on_request(payload, src),
+                name=f"{self.entity}:op{getattr(payload, 'op_id', '?')}",
+            )
+            if isinstance(payload, OsdOp):
+                self._handlers[proc] = (payload.op_id, src)
+                proc.callbacks.append(self._reap_handler)
 
     def _reap_handler(self, proc) -> None:
         self._handlers.pop(proc, None)

@@ -171,6 +171,23 @@ class OsdDaemon(Messenger):
         self._m_ops = metrics.counter(f"osd.{osd_id}.ops")
         self._m_op_latency = metrics.latency(f"osd.{osd_id}.op_latency")
         self._m_replays = metrics.counter("osd.replays_absorbed")
+        #: OpKind -> bound handler, built once (``_handlers`` holds the
+        #: in-flight handler processes).
+        self._op_table = {
+            OpKind.READ: self._do_read,
+            OpKind.WRITE: self._do_primary_write,
+            OpKind.WRITE_DIRECT: self._do_direct_write,
+            OpKind.REP_WRITE: self._do_direct_write,
+            OpKind.SHARD_WRITE: self._do_shard_write,
+            OpKind.SHARD_READ: self._do_shard_read,
+            OpKind.EC_WRITE: self._do_ec_primary_write,
+            OpKind.EC_READ: self._do_ec_primary_read,
+            OpKind.DELETE: self._do_delete,
+            OpKind.PING: self._do_ping,
+            OpKind.PG_LIST: self._do_pg_list,
+            OpKind.PULL: self._do_pull,
+            OpKind.PUSH: self._do_push,
+        }
 
     def stop(self, status=None) -> None:
         """Crash the OSD; also kill the WAL's background applies.
@@ -330,21 +347,7 @@ class OsdDaemon(Messenger):
             op._obs_service = svc
         try:
             yield self.env.timeout(self.config.op_cost_ns)
-            handler = {
-                OpKind.READ: self._do_read,
-                OpKind.WRITE: self._do_primary_write,
-                OpKind.WRITE_DIRECT: self._do_direct_write,
-                OpKind.REP_WRITE: self._do_direct_write,
-                OpKind.SHARD_WRITE: self._do_shard_write,
-                OpKind.SHARD_READ: self._do_shard_read,
-                OpKind.EC_WRITE: self._do_ec_primary_write,
-                OpKind.EC_READ: self._do_ec_primary_read,
-                OpKind.DELETE: self._do_delete,
-                OpKind.PING: self._do_ping,
-                OpKind.PG_LIST: self._do_pg_list,
-                OpKind.PULL: self._do_pull,
-                OpKind.PUSH: self._do_push,
-            }.get(op.kind)
+            handler = self._op_table.get(op.kind)
             if handler is None:
                 reply = OsdReply(op.op_id, False, error=f"unknown op kind {op.kind}")
             else:

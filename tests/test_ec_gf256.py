@@ -15,6 +15,7 @@ from repro.ec import (
     gf_mul_array,
     gf_pow,
 )
+from repro.ec.gf256 import _mul_table
 from repro.errors import ErasureCodingError
 
 ELEM = st.integers(min_value=0, max_value=255)
@@ -159,3 +160,64 @@ def test_matmul_linearity():
     lhs = gf_matmul(mat, np.bitwise_xor(d1, d2))
     rhs = np.bitwise_xor(gf_matmul(mat, d1), gf_matmul(mat, d2))
     assert np.array_equal(lhs, rhs)
+
+
+# --- product-table kernel ----------------------------------------------------
+
+#: Bytes with zero drawn often: both zero coefficients and zero data
+#: bytes hit the table's masked row/column 0.
+BYTE = st.one_of(st.just(0), ELEM)
+
+
+def _reference_matmul(mat, data):
+    """Scalar GF(2^8) matrix product, one gf_mul per term."""
+    m, k = mat.shape
+    out = np.zeros((m, data.shape[1]), dtype=np.uint8)
+    for i in range(m):
+        for b in range(data.shape[1]):
+            acc = 0
+            for j in range(k):
+                acc ^= gf_mul(int(mat[i, j]), int(data[j, b]))
+            out[i, b] = acc
+    return out
+
+
+def test_product_table_matches_scalar_mul():
+    table = np.array([[gf_mul(a, b) for b in range(256)] for a in range(256)], dtype=np.uint8)
+    mul = _mul_table()
+    assert mul.dtype == np.uint8 and not mul.flags.writeable
+    assert np.array_equal(mul, table)
+
+
+@given(
+    st.data(),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=48),
+)
+@settings(max_examples=60, deadline=None)
+def test_matmul_matches_scalar_reference(draw, m, k, blocksize):
+    mat = np.array(draw.draw(st.lists(BYTE, min_size=m * k, max_size=m * k)), dtype=np.uint8)
+    cells = k * blocksize
+    data = np.array(draw.draw(st.lists(BYTE, min_size=cells, max_size=cells)), dtype=np.uint8)
+    mat, data = mat.reshape(m, k), data.reshape(k, blocksize)
+    assert np.array_equal(gf_matmul(mat, data), _reference_matmul(mat, data))
+
+
+def test_matmul_large_block_matches_reference():
+    """m*k*blocksize above 64 MiB (the old broadcast budget): same kernel."""
+    m, k, blocksize = 4, 4, (1 << 22) + 1
+    assert m * k * blocksize > 1 << 26
+    rng = np.random.default_rng(7)
+    mat = rng.integers(0, 256, (m, k), dtype=np.uint8)
+    mat[0, 1] = 0
+    data = rng.integers(0, 256, (k, blocksize), dtype=np.uint8)
+    data[:, ::97] = 0
+    out = gf_matmul(mat, data)
+    for i in range(m):
+        expected = np.zeros(blocksize, dtype=np.uint8)
+        for j in range(k):
+            # Byte map "multiply by mat[i, j]" built from scalar gf_mul.
+            row = np.array([gf_mul(int(mat[i, j]), b) for b in range(256)], dtype=np.uint8)
+            expected ^= row[data[j]]
+        assert np.array_equal(out[i], expected)

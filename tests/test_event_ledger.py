@@ -22,8 +22,8 @@ from repro.workloads import FioJob
 
 #: cell -> (pool, fio rw mode, object size, events scheduled, store bytes allocated).
 LEDGER = {
-    "rep-randrw": (PoolSpec(kind="replicated", size=2), "randrw", None, 15117, 1638400),
-    "ec-randwrite": (PoolSpec(kind="erasure", k=4, m=2), "randwrite", kib(4), 28043, 1216512),
+    "rep-randrw": (PoolSpec(kind="replicated", size=2), "randrw", None, 13111, 1638400),
+    "ec-randwrite": (PoolSpec(kind="erasure", k=4, m=2), "randwrite", kib(4), 23209, 1216512),
 }
 
 

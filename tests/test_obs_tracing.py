@@ -65,6 +65,15 @@ def test_observability_is_event_stream_neutral(framework, rw):
     assert isinstance(fw.tracer, CausalTracer)
 
 
+@pytest.mark.parametrize("framework", ["delibak", "software-ceph"])
+def test_client_nic_probes_installed_and_sampled(framework):
+    """The client NIC series are found by the client's fabric host."""
+    fw, _ = _run(framework, "randwrite", obs=True, seed=3)
+    for direction in ("up", "down"):
+        series = fw.metrics.timeseries(f"obs.net.client.{direction}_util")
+        assert series.values and max(series.values) > 0, direction
+
+
 def test_erasure_pool_neutral_and_exact():
     pool = PoolSpec(kind="erasure")
     _, plain = _run("delibak", "randwrite", obs=False, seed=5, pool_spec=pool)

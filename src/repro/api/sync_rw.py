@@ -67,11 +67,8 @@ class SyncEngine(AioEngine):
         yield from self.kernel.context_switch(core)
         if self.buffered and bio.op == IoOp.READ:
             yield from self.kernel.copy(core, bio.size)
-        tracer = self.blk.tracer
-        if tracer is not None:
+        if self.blk.tracer is not None:
             # Completion delivery: IRQ + wakeup (+ read copy-out).
-            tracer.record(request.req_id, "complete", t0, self.env.now)
-            root = getattr(request, "_obs_span", None)
-            if root is not None:
-                root.record("complete", "stage", t0, self.env.now)
-                root.finish(ok=not (request.status or request.error))
+            root = request._obs_span
+            root.record("complete", "stage", t0, self.env.now)
+            root.finish(ok=not (request.status or request.error))

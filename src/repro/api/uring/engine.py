@@ -118,14 +118,12 @@ class UringEngine(AioEngine):
                 for cqe in cqes:
                     pending = inst._complete_t0.pop(cqe.user_data, None)
                     root = None
-                    if pending is not None and self.blk.tracer is not None:
-                        req_id, t0, root = pending
-                        self.blk.tracer.record(req_id, "complete", t0, self.env.now)
-                        if root is not None:
-                            # Close the causal tree at the reap: root
-                            # duration now equals the recorded latency.
-                            root.record("complete", "stage", t0, self.env.now)
-                            root.finish(ok=cqe.ok)
+                    if pending is not None:
+                        t0, root = pending
+                        # Close the tree at the reap: root duration now
+                        # equals the recorded latency.
+                        root.record("complete", "stage", t0, self.env.now)
+                        root.finish(ok=cqe.ok)
                     latency = self.env.now - submit_times.pop(cqe.user_data)
                     result.latencies_ns.append(latency)
                     if health is not None:

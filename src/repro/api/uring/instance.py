@@ -84,10 +84,10 @@ class IoUring:
         self.sq = Ring(entries)
         self.cq = Ring(2 * entries)
         self._inflight: dict[int, Sqe] = {}
-        #: user_data -> (req_id, completion fire time, causal root or
-        #: None) for the tracer: the reaper closes the flat ``complete``
-        #: span and the causal root from these.
-        self._complete_t0: dict[int, tuple[int, int, object]] = {}
+        #: user_data -> (completion fire time, span-tree root) while
+        #: traced: the reaper records the ``complete`` stage and closes
+        #: the root from these.
+        self._complete_t0: dict[int, tuple[int, object]] = {}
         self._cq_waiter: Optional[Event] = None
         self._sq_kick: Optional[Event] = None
         self._sqpoll_proc = None
@@ -126,13 +126,11 @@ class IoUring:
         )
         tracer = self.blk.tracer
         if tracer is not None:
-            bio._trace_t0 = self.env.now
-            if tracer.causal:
-                # The causal tree is rooted where the application hands
-                # the op to the kernel interface: SQE preparation.
-                bio._obs_root = tracer.start_root(bio.op.value, size=bio.size)
-                if bio.tenant:
-                    bio._obs_root.annotate(tenant=bio.tenant)
+            # The span tree is rooted where the application hands the op
+            # to the kernel interface: SQE preparation.
+            bio._obs_root = tracer.start_root(bio.op.value, size=bio.size)
+            if bio.tenant:
+                bio._obs_root.annotate(tenant=bio.tenant)
         self.sq.push(sqe)
         return sqe
 
@@ -144,9 +142,6 @@ class IoUring:
         loop; all-or-nothing on SQ space.
         """
         tracer = self.blk.tracer
-        trace = tracer is not None
-        causal = trace and tracer.causal
-        now = self.env.now
         fixed = self.fixed_buffers
         sqes = []
         for bio in bios:
@@ -154,12 +149,10 @@ class IoUring:
                 opcode = UringOp.READ_FIXED if fixed else UringOp.READ
             else:
                 opcode = UringOp.WRITE_FIXED if fixed else UringOp.WRITE
-            if trace:
-                bio._trace_t0 = now
-                if causal:
-                    bio._obs_root = tracer.start_root(bio.op.value, size=bio.size)
-                    if bio.tenant:
-                        bio._obs_root.annotate(tenant=bio.tenant)
+            if tracer is not None:
+                bio._obs_root = tracer.start_root(bio.op.value, size=bio.size)
+                if bio.tenant:
+                    bio._obs_root.annotate(tenant=bio.tenant)
             sqes.append(
                 Sqe(
                     opcode=opcode,
@@ -266,11 +259,7 @@ class IoUring:
 
     def _post_cqe(self, sqe: Sqe, request) -> Generator:
         if self.blk.tracer is not None:
-            self._complete_t0[sqe.user_data] = (
-                request.req_id,
-                self.env.now,
-                getattr(sqe.bio, "_obs_root", None),
-            )
+            self._complete_t0[sqe.user_data] = (self.env.now, sqe.bio._obs_root)
         yield from self.core.run(self.costs.post_cqe_ns)
         if not sqe.is_fixed_buffer and sqe.bio.op == IoOp.READ:
             yield from self.kernel.copy(self.core, sqe.length)

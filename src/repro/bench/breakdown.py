@@ -12,7 +12,7 @@ end-to-end latency, so the share column always sums to 100%.
 from __future__ import annotations
 
 from ..deliba import FRAMEWORKS, build_framework
-from ..obs.critical_path import aggregate_attribution, analyze, verify_exact
+from ..obs.critical_path import aggregate_attribution, exact_paths
 from ..units import kib
 from ..workloads import FioJob
 from .experiments import ExperimentResult
@@ -44,21 +44,14 @@ def _profile(rw: str, bs: int, nreq: int, seed: int):
 
 def _attribution(fw) -> tuple[dict[str, int], int]:
     """Exact per-stage critical-path ns and the request count."""
-    roots = fw.tracer.complete_trees()
-    paths = []
-    for root in roots:
-        path = analyze(root)
-        problem = verify_exact(path)
-        if problem is not None:
-            raise RuntimeError(f"inexact attribution for span {root.span_id}: {problem}")
-        paths.append(path)
+    paths = exact_paths(fw.tracer.complete_trees())
     by_stage, _kinds, _folded = aggregate_attribution(paths)
     merged: dict[str, int] = {}
     for stage, ns in by_stage.items():
         # Root self-time segments carry the op name; report them as "api".
         key = "api" if stage in ("read", "write") else stage
         merged[key] = merged.get(key, 0) + ns
-    return merged, len(roots)
+    return merged, len(paths)
 
 
 def _metric_note(fw) -> list[str]:

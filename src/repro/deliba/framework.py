@@ -81,7 +81,7 @@ class FrameworkInstance:
         self.qdma = qdma
         self.accelerators = accelerators or {}
         self.rng = RngRegistry(cluster.spec.seed)
-        #: Lifecycle tracer (populated when built with ``trace=True``).
+        #: Span-tree tracer (set when built with ``trace`` or ``obs``).
         self.tracer: Optional[Tracer] = None
         #: Client-side cache tier (populated when built with ``cache=...``).
         self.cache: Optional[CachedImage] = None
@@ -205,12 +205,12 @@ def build_framework(
     bit-identical either way.  Pass an existing registry to share one
     across frameworks.
 
-    ``obs=True`` upgrades the tracer to a causal
-    :class:`repro.obs.CausalTracer` (implies ``trace``): in addition to
-    the flat stage stream, every request grows a span *tree* with
-    parent/child edges at each layer hand-off, fan-out, and retry leg —
-    the input to ``python -m repro profile``.  Neither tracer changes
-    the simulated event stream.
+    ``trace=True`` and ``obs=True`` both attach the same
+    :class:`repro.trace.Tracer` as ``fw.tracer``: every request grows a
+    span *tree* with parent/child edges at each layer hand-off, fan-out,
+    and retry leg — the input to ``python -m repro profile`` — and the
+    six-stage summary and Chrome/CSV exports are projections of those
+    trees.  Tracing does not change the simulated event stream.
 
     ``cache=CacheConfig(...)`` interposes an Open-CAS-style client block
     cache (:class:`repro.cache.CachedImage`) between the driver and the
@@ -257,12 +257,7 @@ def build_framework(
         cache_tier = CachedImage(image, cache, metrics=registry)
         image = cache_tier
     kernel = HostKernel(env)
-    if obs:
-        from ..obs.context import CausalTracer
-
-        tracer: Optional[Tracer] = CausalTracer(env)
-    else:
-        tracer = Tracer(env) if trace else None
+    tracer = Tracer(env) if trace or obs else None
 
     fpga = qdma = None
     accelerators: dict[str, Accelerator] = {}
@@ -287,7 +282,6 @@ def build_framework(
             crush_accel=accelerators.get("crush"),
             ec_accel=accelerators.get("ec"),
             hardware=config.hardware,
-            tracer=tracer,
         )
     else:
         driver = UifdDriver(
@@ -299,7 +293,6 @@ def build_framework(
             crush_accel=accelerators.get("crush"),
             ec_accel=accelerators.get("ec"),
             hardware=config.hardware,
-            tracer=tracer,
             metrics=registry,
         )
 

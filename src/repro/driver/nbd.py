@@ -77,7 +77,6 @@ class NbdDriver:
         ec_accel: Optional[Accelerator] = None,
         hardware: bool = True,
         shared_daemon: Optional[Resource] = None,
-        tracer=None,
     ):
         if hardware:
             if qdma is None or crush_accel is None:
@@ -86,8 +85,6 @@ class NbdDriver:
                 raise DriverError("EC pool needs the RS accelerator")
         self.env = env
         self.kernel = kernel
-        #: Optional repro.trace.Tracer for lifecycle spans.
-        self.tracer = tracer
         self.image = image
         self.config = config or NbdConfig()
         self.hardware = hardware
@@ -116,7 +113,6 @@ class NbdDriver:
         self.env.process(self._handle(request), name=f"nbd.rq{request.req_id}")
 
     def _handle(self, request: Request) -> Generator:
-        trace = self.tracer
         root = getattr(request, "_obs_span", None)
         t0 = self.env.now
         # Kernel NBD client -> socket -> daemon: context switches plus
@@ -145,8 +141,6 @@ class NbdDriver:
                 if request.op == IoOp.WRITE:
                     t1 = self.env.now
                     yield from self.qdma.h2c_transfer(self.queue, request.size)
-                    if trace:
-                        trace.record(request.req_id, "qdma", t1, self.env.now)
                     if root is not None:
                         root.record("qdma", "dma", t1, self.env.now, dir="h2c")
                 t1 = self.env.now
@@ -165,8 +159,6 @@ class NbdDriver:
                     yield from self.crush_accel.process(objects)
                 if self.image.pool.pool_type == PoolType.ERASURE and request.op == IoOp.WRITE:
                     yield from self.ec_accel.process(max(1, request.size // 32))
-                if trace:
-                    trace.record(request.req_id, "accel", t1, self.env.now)
                 if root is not None:
                     root.record("accel", "compute", t1, self.env.now, objects=objects)
             else:
@@ -180,7 +172,6 @@ class NbdDriver:
                     yield from self.core.run(self.config.sw_ec_encode_ns * objects)
                 if root is not None:
                     root.record("placement", "compute", t1, self.env.now, objects=objects)
-            t1 = self.env.now
             fab = root.child("fabric", "net") if root is not None else None
             ok = False
             try:
@@ -189,13 +180,9 @@ class NbdDriver:
             finally:
                 if fab is not None:
                     fab.finish(ok=ok)
-                if trace:
-                    trace.record(request.req_id, "fabric", t1, self.env.now)
             if self.hardware and request.op == IoOp.READ:
                 t1 = self.env.now
                 yield from self.qdma.c2h_transfer(self.queue, request.size)
-                if trace:
-                    trace.record(request.req_id, "qdma", t1, self.env.now)
                 if root is not None:
                     root.record("qdma", "dma", t1, self.env.now, dir="c2h")
         except StorageError as exc:

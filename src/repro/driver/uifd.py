@@ -70,13 +70,10 @@ class UifdDriver:
         ec_accel: Optional[Accelerator] = None,
         function: int = 0,
         hardware: bool = True,
-        tracer=None,
         metrics=None,
     ):
         self.env = env
         self.kernel = kernel
-        #: Optional repro.trace.Tracer for lifecycle spans.
-        self.tracer = tracer
         metrics = metrics or NULL_METRICS
         self._m_requests = metrics.counter("driver.uifd.requests")
         self._m_request_ns = metrics.latency("driver.uifd.request_ns")
@@ -145,13 +142,10 @@ class UifdDriver:
 
     def _handle_hw(self, request: Request, ctx=None) -> Generator:
         is_ec = self.image.pool.pool_type == PoolType.ERASURE
-        trace = self.tracer
         if request.op == IoOp.WRITE:
             # Payload DMA to the card before the FPGA fans it out.
             t0 = self.env.now
             yield from self.qdma.h2c_transfer(self.queue, request.size)
-            if trace:
-                trace.record(request.req_id, "qdma", t0, self.env.now)
             if ctx is not None:
                 ctx.record("qdma", "dma", t0, self.env.now, dir="h2c")
         # In-datapath CRUSH placement: pipelined, one item per object.
@@ -161,11 +155,8 @@ class UifdDriver:
         if is_ec and request.op == IoOp.WRITE:
             # RS encoder streams the payload in 32 B beats.
             yield from self.ec_accel.process(max(1, request.size // 32))
-        if trace:
-            trace.record(request.req_id, "accel", t0, self.env.now)
         if ctx is not None:
             ctx.record("accel", "compute", t0, self.env.now, objects=self._objects_touched(request))
-        t0 = self.env.now
         fab = ctx.child("fabric", "net") if ctx is not None else None
         ok = False
         try:
@@ -174,13 +165,9 @@ class UifdDriver:
         finally:
             if fab is not None:
                 fab.finish(ok=ok)
-            if trace:
-                trace.record(request.req_id, "fabric", t0, self.env.now)
         if request.op == IoOp.READ:
             t0 = self.env.now
             yield from self.qdma.c2h_transfer(self.queue, request.size)
-            if trace:
-                trace.record(request.req_id, "qdma", t0, self.env.now)
             if ctx is not None:
                 ctx.record("qdma", "dma", t0, self.env.now, dir="c2h")
         if not self.config.polled_completion:

@@ -2,9 +2,11 @@
 
 Three pieces (ISSUE 5 tentpole):
 
-* :mod:`~repro.obs.context` — :class:`CausalTracer` and the
-  :class:`SpanNode` trees it grows: one per workload op, with
-  parent/child edges at every layer hand-off, fan-out, and retry leg;
+* :mod:`~repro.obs.context` — :class:`CausalTracer` (the span-tree
+  :class:`repro.trace.Tracer`, under its observability name), the
+  :class:`SpanNode` trees it grows — one per workload op, with
+  parent/child edges at every layer hand-off, fan-out, and retry leg —
+  and :func:`wrap_span` for legs that run as spawned processes;
 * :mod:`~repro.obs.critical_path` — exact attribution of end-to-end
   latency to the spans that gated it, plus straggler-slack reporting;
 * :mod:`~repro.obs.sampler` / :mod:`~repro.obs.digest` /
@@ -24,9 +26,9 @@ Its names (``run_profile``, ``profile_smoke``, ``ProfileReport``,
 ``ProfileScenario``, ``PROFILE_SCENARIOS``) still resolve lazily via
 ``repro.obs.<name>`` once the package tree is fully loaded.
 
-Everything here is event-stream neutral: enabling the causal tracer or
-the sampler changes no simulated event, so goldens and benchmark
-numbers are identical with observability on or off.
+Everything here is event-stream neutral: enabling the tracer or the
+sampler changes no simulated event, so goldens and benchmark numbers
+are identical with observability on or off.
 """
 
 from .context import CausalTracer, SpanNode, wrap_span
@@ -36,6 +38,7 @@ from .critical_path import (
     StragglerReport,
     aggregate_attribution,
     analyze,
+    exact_paths,
     stragglers,
     verify_exact,
 )
@@ -113,6 +116,7 @@ __all__ = [
     "aggregate_attribution",
     "analyze",
     "escape_label_value",
+    "exact_paths",
     "export_flamegraph",
     "export_perfetto",
     "export_prometheus",

@@ -1,195 +1,22 @@
-"""Causal trace context: span *trees* over the flat six-stage tracer.
+"""Causal trace context: the span-tree tracer as seen from ``repro.obs``.
 
-The flat :class:`repro.trace.Tracer` answers "how long did request 17
-spend in ``fabric``?"; it cannot answer "which of the write's replica
-legs gated completion" or "did the chaos retry re-enter the fabric
-twice".  :class:`CausalTracer` keeps the flat stream (it *is* a Tracer,
-so every existing ``record``/``summary`` call site works unchanged) and
-additionally grows one :class:`SpanNode` tree per workload operation:
-
-* the **root** is created when the API engine prepares the SQE (or,
-  for engines that do not pre-stamp one, when the bio enters blk-mq);
-* each datapath layer appends a **child** covering its own interval
-  (``rings``, ``dmq``, ``uifd``/``nbd``, ``qdma``, ``accel``,
-  ``fabric``, ``complete``);
-* every fan-out — bio split across objects, replication fan-out, EC
-  shard dispatch, primary sub-ops — and every retry/failover leg under
-  an :class:`repro.osd.policy.OpPolicy` adds one child per leg, so the
-  tree records *why* the op took as long as it did.
-
-Span recording never creates simulation events: timestamps are read
-from ``env.now`` and everything else is plain Python bookkeeping, so a
-run with the causal tracer enabled produces the exact same event
-stream (and therefore the same golden digests) as a run without it.
-
-Span ids come from a per-tracer counter, so two seeded runs export
-identical trees — the double-run determinism tests rely on it.
+The tracer and its :class:`SpanNode` trees live in :mod:`repro.trace`;
+this module re-exports them under the names the observability layer
+has always used (``CausalTracer`` is the same class as
+:class:`repro.trace.Tracer`) and adds :func:`wrap_span` for timing
+fan-out legs that run as spawned processes.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, Optional
+from typing import Optional
 
-from ..errors import ReproError
-from ..trace import Tracer
+from ..trace import SpanNode, Tracer
 
+#: The one span-tree tracer, under its observability-layer name.
+CausalTracer = Tracer
 
-class SpanNode:
-    """One node of a causal span tree."""
-
-    __slots__ = ("span_id", "name", "kind", "start_ns", "end_ns", "parent", "children", "meta", "_tracer")
-
-    def __init__(
-        self,
-        tracer: "CausalTracer",
-        span_id: int,
-        name: str,
-        kind: str,
-        start_ns: int,
-        parent: Optional["SpanNode"] = None,
-        meta: Optional[dict] = None,
-    ):
-        self._tracer = tracer
-        self.span_id = span_id
-        self.name = name
-        #: Resource class the span occupies: "stage", "queue", "service",
-        #: "compute", "dma", "net", "rpc", "fanout", "wait", "driver", ...
-        self.kind = kind
-        self.start_ns = start_ns
-        #: -1 while open; :meth:`finish` extends monotonically, so layers
-        #: that learn about completion at different times may all call it.
-        self.end_ns = -1
-        self.parent = parent
-        self.children: list[SpanNode] = []
-        self.meta: dict = meta or {}
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def child(self, name: str, kind: str = "span", start_ns: Optional[int] = None, **meta) -> "SpanNode":
-        """Open a child span starting now (or at ``start_ns``)."""
-        node = SpanNode(
-            self._tracer,
-            self._tracer._next_span_id(),
-            name,
-            kind,
-            self._tracer.env.now if start_ns is None else start_ns,
-            parent=self,
-            meta=meta or None,
-        )
-        self.children.append(node)
-        return node
-
-    def record(self, name: str, kind: str, start_ns: int, end_ns: int, **meta) -> "SpanNode":
-        """Append an already-closed child (retrospective instrumentation)."""
-        if end_ns < start_ns:
-            raise ReproError(f"span {name!r} ends before it starts")
-        node = self.child(name, kind, start_ns=start_ns, **meta)
-        node.end_ns = end_ns
-        return node
-
-    def finish(self, end_ns: Optional[int] = None, ok: bool = True, **meta) -> None:
-        """Close (or extend) the span.
-
-        ``end_ns`` defaults to the current clock.  Repeated calls keep
-        the *latest* end: the block layer closes a request's root when
-        the driver completes it, and the io_uring engine extends it to
-        the CQE reap — both simply call ``finish()``.
-        """
-        end = self._tracer.env.now if end_ns is None else end_ns
-        if end > self.end_ns:
-            self.end_ns = end
-        if not ok:
-            self.meta["error"] = True
-        if meta:
-            self.meta.update(meta)
-
-    def annotate(self, **meta) -> None:
-        """Attach metadata without touching timestamps."""
-        self.meta.update(meta)
-
-    # -- inspection --------------------------------------------------------------
-
-    @property
-    def complete(self) -> bool:
-        """True once the span has an end timestamp."""
-        return self.end_ns >= 0
-
-    @property
-    def duration_ns(self) -> int:
-        """Span length (0 while still open)."""
-        return max(0, self.end_ns - self.start_ns) if self.end_ns >= 0 else 0
-
-    def walk(self) -> Iterator["SpanNode"]:
-        """Pre-order traversal of this subtree."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-    def find(self, name: str) -> list["SpanNode"]:
-        """Every descendant (including self) with the given name."""
-        return [s for s in self.walk() if s.name == name]
-
-    def to_dict(self) -> dict:
-        """JSON-ready nested representation (deterministic key order)."""
-        out = {
-            "span_id": self.span_id,
-            "name": self.name,
-            "kind": self.kind,
-            "start_ns": self.start_ns,
-            "end_ns": self.end_ns,
-        }
-        if self.meta:
-            out["meta"] = {k: self.meta[k] for k in sorted(self.meta)}
-        if self.children:
-            out["children"] = [c.to_dict() for c in self.children]
-        return out
-
-    def __repr__(self) -> str:
-        state = f"{self.start_ns}..{self.end_ns}" if self.complete else f"{self.start_ns}.."
-        return f"<SpanNode #{self.span_id} {self.name}/{self.kind} {state} kids={len(self.children)}>"
-
-
-class CausalTracer(Tracer):
-    """A :class:`Tracer` that additionally records causal span trees.
-
-    Drop-in: every flat-tracer call site (``record``, ``summary``,
-    ``breakdown_table``, the Chrome/CSV exports) behaves identically;
-    layers that know about causality check :attr:`causal` and attach
-    tree spans as well.
-    """
-
-    causal = True
-
-    def __init__(self, env):
-        super().__init__(env)
-        #: Root spans in creation (= submission) order.
-        self.roots: list[SpanNode] = []
-        self._span_ids = itertools.count(1)
-
-    def _next_span_id(self) -> int:
-        return next(self._span_ids)
-
-    def start_root(self, name: str, kind: str = "op", start_ns: Optional[int] = None, **meta) -> SpanNode:
-        """Open a new request tree rooted now (or at ``start_ns``)."""
-        root = SpanNode(
-            self,
-            self._next_span_id(),
-            name,
-            kind,
-            self.env.now if start_ns is None else start_ns,
-            meta=meta or None,
-        )
-        self.roots.append(root)
-        return root
-
-    def complete_trees(self) -> list[SpanNode]:
-        """Roots whose end-to-end interval is closed."""
-        return [r for r in self.roots if r.complete]
-
-    def incomplete_trees(self) -> list[SpanNode]:
-        """Roots that never completed (op failed mid-flight / run ended)."""
-        return [r for r in self.roots if not r.complete]
+__all__ = ["CausalTracer", "SpanNode", "wrap_span"]
 
 
 def wrap_span(span: Optional[SpanNode], gen):

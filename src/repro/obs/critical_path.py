@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from ..errors import ReproError
 from .context import SpanNode
 
 
@@ -198,6 +199,21 @@ def aggregate_attribution(
         for stack, ns in path.folded().items():
             folded[stack] = folded.get(stack, 0) + ns
     return by_stage, by_kind, folded
+
+
+def exact_paths(roots: Iterable[SpanNode]) -> list[CriticalPath]:
+    """Critical paths of ``roots``, each checked by :func:`verify_exact`.
+
+    Raises :class:`~repro.errors.ReproError` on the first inexact
+    partition: exact attribution is the product, not a diagnostic."""
+    paths = []
+    for root in roots:
+        path = analyze(root)
+        problem = verify_exact(path)
+        if problem is not None:
+            raise ReproError(f"inexact critical path for request span {root.span_id}: {problem}")
+        paths.append(path)
+    return paths
 
 
 def verify_exact(path: CriticalPath) -> Optional[str]:

@@ -10,7 +10,7 @@ summaries, and Perfetto/flamegraph exports.
 This is the engine behind ``python -m repro profile`` and the CI smoke
 job.  The attribution is *exact*: for every completed request the
 per-stage nanoseconds partition the measured end-to-end latency with no
-residual (``verify_exact`` raises otherwise), so shares in the report
+residual (``exact_paths`` raises otherwise), so shares in the report
 always sum to 100%.
 """
 
@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from ..deliba import PoolSpec, build_framework, framework_by_name
-from ..errors import BenchmarkError
 from ..units import kib, mib
 from ..workloads.fio import FioJob
-from .critical_path import CriticalPath, aggregate_attribution, analyze, stragglers, verify_exact
+from .critical_path import aggregate_attribution, exact_paths, stragglers
 from .digest import StreamingDigest
 from .export import (
     export_flamegraph,
@@ -212,9 +211,9 @@ def run_profile(
 ) -> ProfileReport:
     """Run one scenario under full observability and attribute it.
 
-    Raises :class:`BenchmarkError` if any completed request's critical
-    path fails the exactness check — that invariant is the product, not
-    a best-effort diagnostic.
+    Raises :class:`~repro.errors.ReproError` if any completed request's
+    critical path fails the exactness check — that invariant is the
+    product, not a best-effort diagnostic.
     """
     scn = PROFILE_SCENARIOS[scenario] if isinstance(scenario, str) else scenario
     cfg = framework_by_name(framework)
@@ -258,15 +257,7 @@ def run_profile(
     tracer = fw.tracer
     roots = tracer.complete_trees()
     incomplete = tracer.incomplete_trees()
-    paths: list[CriticalPath] = []
-    for root in roots:
-        path = analyze(root)
-        problem = verify_exact(path)
-        if problem is not None:
-            raise BenchmarkError(
-                f"inexact critical path for request span {root.span_id}: {problem}"
-            )
-        paths.append(path)
+    paths = exact_paths(roots)
 
     by_stage, by_kind, folded = aggregate_attribution(paths)
     total_digest = StreamingDigest()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Optional
 
 from ..ec import ReedSolomon
-from ..errors import StorageError
+from ..errors import ProcessKilled, StorageError
 from ..obs.context import wrap_span
 from ..sim import NULL_METRICS, Environment, Resource
 from ..units import us
@@ -332,7 +332,14 @@ class OsdDaemon(Messenger):
                 # never waits.
                 qos_phase = yield from self.qos.admit(op)
             req = self.cpu.request()
-            yield req
+            try:
+                yield req
+            except ProcessKilled:
+                # Killed after admission: the claim's own hook returns the
+                # worker; the admitted slot goes back to the gate here.
+                if self.qos is not None:
+                    self.qos.release()
+                raise
             pool = self.cpu
         svc = None
         if leg is not None:

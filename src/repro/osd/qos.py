@@ -360,7 +360,9 @@ class _AdmitTicket(Event):
 
     Carries the interrupt-cancellation hook the sim kernel looks for: a
     handler killed mid-wait (OSD crash) withdraws its queue entry, so a
-    dead op is never dispatched against the inflight budget."""
+    dead op is never dispatched against the inflight budget; one killed
+    after its dispatch in the same ns, before it resumed, hands the
+    dispatched slot back."""
 
     __slots__ = ("scheduler", "flow", "entry")
 
@@ -373,6 +375,8 @@ class _AdmitTicket(Event):
     def _cancel_on_interrupt(self) -> None:
         if not self.triggered:
             self.scheduler.queue.discard(self.flow, self.entry)
+        else:
+            self.scheduler.release()
 
 
 class OsdQosScheduler:

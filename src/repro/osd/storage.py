@@ -188,8 +188,8 @@ class StorageDevice:
         volatile, matching real cache-flush semantics.
         """
         req = self._flush_lock.request()
+        yield req
         try:
-            yield req
             batch = len(self._volatile)
             yield self._channels.hold(self._jitter(self.profile.flush_ns))
             for entry in self._volatile[:batch]:

@@ -41,9 +41,15 @@ class Request(Event):
 
     def _cancel_on_interrupt(self) -> None:
         """Withdraw this claim when the waiting process is interrupted
-        (hook called by :meth:`Process.interrupt`)."""
+        (hook called by :meth:`Process.interrupt`).
+
+        A claim granted in the same ns, before the waiter resumed, is
+        released: the killed waiter never learns it holds the slot.
+        """
         if not self.triggered:
             self.resource.cancel(self)
+        elif self in self.resource._users:
+            self.resource.release(self)
 
 
 class Resource:

@@ -148,15 +148,3 @@ def test_span_tree_export_deterministic_across_runs(tmp_path):
     doc_a = to_perfetto(fw_a.tracer.roots, fw_a.metrics, fw_a.env.now)
     doc_b = to_perfetto(fw_b.tracer.roots, fw_b.metrics, fw_b.env.now)
     assert json.dumps(doc_a, sort_keys=True) == json.dumps(doc_b, sort_keys=True)
-
-
-def test_flat_stream_unchanged_under_causal_tracer():
-    """The causal tracer is a drop-in Tracer: flat exports still work."""
-    fw, _ = _run("delibak", "randwrite", obs=True, seed=2)
-    flat = build_framework(FRAMEWORKS["delibak"], trace=True, seed=2)
-    job = FioJob("obs-t", "randwrite", bs=kib(4), iodepth=2, nrequests=12)
-    proc = flat.env.process(flat.run_fio(job))
-    flat.env.run()
-    assert proc.ok
-    assert json.dumps(fw.tracer.to_chrome_trace()) == json.dumps(flat.tracer.to_chrome_trace())
-    assert fw.tracer.summary() == flat.tracer.summary()

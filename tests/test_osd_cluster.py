@@ -385,3 +385,64 @@ def test_write_recovers_from_midflight_osd_death():
     env.run(until=us(20000))
     assert p.value is True
     assert not cluster.osdmap.osds[victim].up
+
+
+@pytest.mark.parametrize(
+    "qos, hook, nth",
+    [(False, "release", 1), (True, "release", 1), (True, "request", 3)],
+    ids=["worker", "qos-ticket", "qos-worker"],
+)
+def test_osd_killed_in_grant_ns_frees_every_worker(qos, hook, nth):
+    """Stop the OSD in the ns a queued handler is handed a worker (or,
+    under QoS, dispatched by the admission gate, or granted its worker
+    after admission), before that handler resumes: after a revive the
+    whole worker pool is free again."""
+    from repro.osd import OsdConfig
+    from repro.osd.ops import OpKind, OsdOp
+
+    env, cluster = small_cluster(osd_config=OsdConfig(op_threads=2))
+    if qos:
+        cluster.enable_qos()
+    osd = cluster.daemons[0]
+    client = cluster.new_client()
+    seen = {"calls": 0}
+
+    def stopper():
+        # Handlers parked on a claim (worker slot or QoS ticket) that was
+        # granted this ns but not yet processed.
+        seen["granted_waiting"] = sum(
+            1 for proc in osd._handlers
+            if hasattr(proc._target, "_cancel_on_interrupt")
+            and proc._target.triggered and not proc._target.processed
+        )
+        osd.stop()
+        yield env.timeout(0)
+
+    original = getattr(osd.cpu, hook)
+
+    def crash_after(*args):
+        result = original(*args)
+        seen["calls"] += 1
+        if seen["calls"] == nth:
+            env.process(stopper())  # runs this ns, before the grant is processed
+        return result
+
+    setattr(osd.cpu, hook, crash_after)
+
+    def ping():
+        return (yield from client.call("osd.0", OsdOp(OpKind.PING, 0, "ping")))
+
+    calls = [env.process(ping()) for _ in range(3)]
+    env.run()
+    setattr(osd.cpu, hook, original)
+    assert seen["granted_waiting"] == 1
+    assert all(c.ok and not c.value.ok for c in calls)  # all three reset
+    osd.start()
+    assert not osd._handlers
+    assert osd.cpu.count == 0 and osd.cpu.queue_len == 0
+    if qos:
+        assert osd.qos.inflight == 0
+    calls = [env.process(ping()) for _ in range(2)]
+    env.run()
+    assert all(c.ok and c.value.ok for c in calls)
+    assert osd.cpu.count == 0

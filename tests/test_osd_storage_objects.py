@@ -225,3 +225,32 @@ def test_object_store_delete_clears_checksum():
     store.delete("a")
     with pytest.raises(StorageError):
         store.stored_checksum("a")
+
+
+@pytest.mark.parametrize("kill_at", ["queued", "granted"])
+def test_flush_killed_at_the_barrier_lock_frees_it(kill_at):
+    """A flush killed while queued for the barrier lock, or in the ns the
+    lock was handed to it, leaves the lock free for the next flush."""
+    from repro.errors import ProcessKilled
+
+    env = Environment()
+    device = StorageDevice(env, NVME_SSD, name="d")
+    first = env.process(device.flush())
+    victim = env.process(device.flush())
+
+    def killer():
+        if kill_at == "queued":
+            yield env.timeout(1)
+        else:
+            # Two hops, so this wake-up is queued behind the first
+            # flush's release of the lock.
+            yield env.timeout(NVME_SSD.flush_ns // 2)
+            yield env.timeout(NVME_SSD.flush_ns - NVME_SSD.flush_ns // 2)
+            assert victim._target.triggered and not victim._target.processed
+        victim.interrupt()
+
+    env.process(killer())
+    env.run()
+    assert first.ok
+    assert not victim.ok and isinstance(victim.value, ProcessKilled)
+    assert device._flush_lock.count == 0 and device._flush_lock.queue_len == 0

@@ -285,3 +285,38 @@ def test_interrupted_waiter_does_not_leak_slot():
     assert ("victim-killed", 50) in order
     assert ("survivor", 110) in order  # got the slot right after the holder
     assert res.count == 0 and res.queue_len == 0
+
+
+def test_claim_granted_in_kill_ns_is_released():
+    """The waiter is killed at t=10 after the holder's release granted it
+    the slot, but before it resumed: the slot must not stay held."""
+    env = Environment()
+    res = Resource(env, capacity=1)
+    claims = {}
+
+    def holder(env):
+        req = res.request()
+        yield req
+        yield env.timeout(10)
+        res.release(req)
+
+    def waiter(env):
+        claims["waiter"] = req = res.request()
+        yield req
+        res.release(req)  # never reached: killed before resuming
+
+    def killer(env):
+        # Two hops, so the t=10 wake-up is queued behind the holder's.
+        yield env.timeout(5)
+        yield env.timeout(5)
+        assert claims["waiter"].triggered and not claims["waiter"].processed
+        victim.interrupt()
+
+    env.process(holder(env))
+    victim = env.process(waiter(env))
+    env.process(killer(env))
+    env.run()
+    assert not victim.ok and isinstance(victim.value, ProcessKilled)
+    assert res.count == 0 and res.queue_len == 0
+    again = res.request()
+    assert again.triggered  # the full capacity is free again

@@ -14,57 +14,42 @@ from repro.workloads import FioJob
 # --- tracer unit tests --------------------------------------------------------
 
 
+def _stage_ns(tracer, rid, stage):
+    return sum(s.duration_ns for s in tracer.stage_spans()[rid] if s.name == stage)
+
+
 def test_tracer_begin_end_span():
     env = Environment()
     tracer = Tracer(env)
-    tracer.begin(1, "fabric")
+    span = tracer.start_root("write", req_id=1).child("fabric", "net")
     env.run(until=500)
-    tracer.end(1, "fabric")
-    assert tracer.traces[1].stage_ns("fabric") == 500
+    span.finish()
+    assert _stage_ns(tracer, 1, "fabric") == 500
 
 
 def test_tracer_record_retrospective():
     tracer = Tracer(Environment())
-    tracer.record(7, "qdma", 100, 400)
-    assert tracer.traces[7].stage_ns("qdma") == 300
-
-
-def test_tracer_double_begin_rejected():
-    tracer = Tracer(Environment())
-    tracer.begin(1, "accel")
-    with pytest.raises(ReproError):
-        tracer.begin(1, "accel")
-
-
-def test_tracer_end_without_begin_rejected():
-    tracer = Tracer(Environment())
-    with pytest.raises(ReproError):
-        tracer.end(1, "accel")
+    tracer.start_root("write", req_id=7).record("qdma", "dma", 100, 400)
+    assert _stage_ns(tracer, 7, "qdma") == 300
 
 
 def test_tracer_record_validation():
     tracer = Tracer(Environment())
     with pytest.raises(ReproError):
-        tracer.record(1, "qdma", 400, 100)
-
-
-def test_tracer_context_manager():
-    env = Environment()
-    tracer = Tracer(env)
-    with tracer.stage(3, "rings"):
-        env.run(until=250)
-    assert tracer.traces[3].stage_ns("rings") == 250
+        tracer.start_root("write", req_id=1).record("qdma", "dma", 400, 100)
 
 
 def test_tracer_summary_and_total():
     tracer = Tracer(Environment())
-    tracer.record(1, "fabric", 0, 60_000)
-    tracer.record(1, "qdma", 60_000, 62_000)
-    tracer.record(2, "fabric", 0, 40_000)
+    first = tracer.start_root("write", req_id=1)
+    first.record("fabric", "net", 0, 60_000)
+    first.record("qdma", "dma", 60_000, 62_000)
+    first.finish(62_000)
+    tracer.start_root("write", req_id=2).record("fabric", "net", 0, 40_000)
     summary = tracer.summary()
     assert summary["fabric"] == pytest.approx(50.0)
     assert summary["qdma"] == pytest.approx(2.0)
-    assert tracer.traces[1].total_ns == 62_000
+    assert first.duration_ns == 62_000
 
 
 def test_tracer_empty_summary():
@@ -73,9 +58,19 @@ def test_tracer_empty_summary():
 
 def test_breakdown_table_renders():
     tracer = Tracer(Environment())
-    tracer.record(1, "fabric", 0, 50_000)
+    tracer.start_root("write", req_id=1).record("fabric", "net", 0, 50_000)
     out = tracer.breakdown_table()
     assert "fabric" in out and "%" in out
+
+
+def test_projection_ignores_non_stage_and_unnumbered_spans():
+    tracer = Tracer(Environment())
+    root = tracer.start_root("write", req_id=1)
+    root.record("uifd", "driver", 0, 100)  # a layer span, not one of the six stages
+    root.child("fabric", "net", start_ns=100).record("accel", "compute", 100, 200)  # nested
+    tracer.start_root("recovery.pg.1.0", "recovery").record("fabric", "net", 0, 10)  # no req_id
+    assert tracer.summary() == {}
+    assert list(tracer.iter_spans()) == []
 
 
 # --- tracer integration --------------------------------------------------------

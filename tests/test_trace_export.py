@@ -81,16 +81,18 @@ def test_csv_export_matches_span_stream(tmp_path):
         assert int(end) - int(start) == int(dur)
 
 
+def _request(tracer, rid, *stages, **meta):
+    """A root carrying ``req_id`` with one closed child per (stage, start, end)."""
+    root = tracer.start_root("write", req_id=rid, **meta)
+    for stage, start, end in stages:
+        root.record(stage, "stage", start, end)
+    return root
+
+
 def test_tenant_tags_thread_into_chrome_lanes_and_csv(tmp_path):
-    env = Environment()
-    tracer = Tracer(env)
-    tracer.record(1, "rings", 0, 10)
-    tracer.record(1, "complete", 10, 20)
-    tracer.record(2, "rings", 5, 15)
-    tracer.record(2, "complete", 15, 25)
-    tracer.tag_request(2, "tenant-a")
-    tracer.tag_request(3, "")  # empty tag is a no-op
-    assert tracer.tenants == {2: "tenant-a"}
+    tracer = Tracer(Environment())
+    _request(tracer, 1, ("rings", 0, 10), ("complete", 10, 20))
+    _request(tracer, 2, ("rings", 5, 15), ("complete", 15, 25), tenant="tenant-a")
 
     doc = tracer.to_chrome_trace()
     spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
@@ -121,7 +123,8 @@ def test_tenant_tag_flows_from_fio_job_to_export():
     proc = fw.env.process(fw.run_fio(job))
     fw.env.run()
     assert proc.ok
-    assert set(fw.tracer.tenants.values()) == {"gold"}
+    requests = [r for r in fw.tracer.roots if "req_id" in r.meta]
+    assert requests and {r.meta.get("tenant") for r in requests} == {"gold"}
     doc = fw.tracer.to_chrome_trace()
     spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
     assert spans and all(e["args"]["tenant"] == "gold" for e in spans)
@@ -153,31 +156,32 @@ def test_cli_trace_export(tmp_path, capsys):
 def test_unclosed_spans_excluded_from_export():
     env = Environment()
     tracer = Tracer(env)
-    tracer.begin(1, "rings")
+    root = tracer.start_root("write", req_id=1)
+    rings = root.child("rings", "stage")
     env.run(until=100)
-    tracer.end(1, "rings")
-    tracer.begin(1, "fabric")  # never closed
+    rings.finish()
+    root.child("fabric", "net")  # never closed
     spans = list(tracer.iter_spans())
-    assert [(rid, s.stage) for rid, s in spans] == [(1, "rings")]
+    assert [(rid, s.name) for rid, s in spans] == [(1, "rings")]
 
 
 def test_nested_distinct_stages_allowed():
     env = Environment()
     tracer = Tracer(env)
-    tracer.begin(1, "fabric")
-    tracer.begin(1, "accel")  # nested inside fabric: fine, distinct stage
+    root = tracer.start_root("write", req_id=1)
+    fabric = root.child("fabric", "net")
+    accel = root.child("accel", "compute")  # overlaps fabric: fine, distinct stage
     env.run(until=50)
-    tracer.end(1, "accel")
+    accel.finish()
     env.run(until=80)
-    tracer.end(1, "fabric")
-    assert tracer.traces[1].stage_ns("fabric") == 80
-    assert tracer.traces[1].stage_ns("accel") == 50
+    fabric.finish()
+    assert tracer.summary() == {"accel": 0.05, "fabric": 0.08, "incomplete": 1}
 
 
 def test_zero_duration_span_counts_in_summary():
     tracer = Tracer(Environment())
-    tracer.record(1, "dmq", 100, 100)  # entered but instantaneous
-    tracer.record(2, "dmq", 100, 300)
+    _request(tracer, 1, ("dmq", 100, 100))  # entered but instantaneous
+    _request(tracer, 2, ("dmq", 100, 300))
     summary = tracer.summary()
     # Both requests entered dmq; dropping the zero-duration visit would
     # report 0.2 us instead of the true 0.1 us mean.
@@ -192,7 +196,7 @@ def test_summary_and_table_on_empty_trace():
 
 def test_summary_on_single_request():
     tracer = Tracer(Environment())
-    tracer.record(1, "fabric", 0, 4_000)
+    _request(tracer, 1, ("fabric", 0, 4_000))
     summary = tracer.summary()
     # The request never reached "complete", so the summary says so
     # explicitly instead of silently dropping it from the denominator.
@@ -200,6 +204,14 @@ def test_summary_on_single_request():
     table = tracer.breakdown_table()
     assert "100.0%" in table
     assert "never reached complete" in table
+
+
+def test_merged_bio_completion_counts_toward_its_request():
+    tracer = Tracer(Environment())
+    _request(tracer, 1, ("rings", 0, 10), ("complete", 50, 60))
+    _request(tracer, 1, ("complete", 50, 70))  # a bio merged into request 1
+    assert tracer.summary() == {"rings": 0.01, "complete": 0.03}
+    assert [s.end_ns for _rid, s in tracer.iter_spans()] == [10, 60, 70]
 
 
 def test_export_empty_tracer(tmp_path):
